@@ -402,6 +402,10 @@ HttpResponse EstimateService::HandleColumns() const {
       writer.Double(report.score.signals.feedback_error);
       writer.Key("rebuild_recommended");
       writer.Bool(report.score.rebuild_recommended);
+      // True: the error left is one a rebuild cannot lower (no delta or
+      // tuning pass changed the column since its build).
+      writer.Key("unchanged_since_build");
+      writer.Bool(report.score.signals.unchanged_since_build);
       writer.Key("reason");
       writer.String(RebuildReasonToString(report.score.reason));
       writer.Key("deltas_applied");

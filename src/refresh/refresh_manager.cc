@@ -16,7 +16,10 @@ namespace hops {
 // "maintained-vs-ideal" comparison set of the Prop 3.1 staleness score.
 // `moments` is kept incrementally coherent with (ideal, the maintained
 // histogram's explicit set); it is recomputed from scratch whenever the
-// explicit set changes (i.e., on rebuild).
+// explicit set changes (i.e., on rebuild). `unchanged_since_build` is set
+// by registration and every rebuild and cleared by any applied delta or
+// tuning change; while it holds, a rebuild would reproduce the catalog
+// histogram exactly, so scoring never asks for one.
 struct RefreshManager::ColumnState {
   std::string table;
   std::string column;
@@ -32,6 +35,7 @@ struct RefreshManager::ColumnState {
   uint64_t deltas_since_rebuild = 0;
   uint64_t rebuilds = 0;
   bool dirty = false;  // counts changed since the last catalog write-back
+  bool unchanged_since_build = false;
   // Buffered predicate outcomes + tuning counters (refresh/self_tuner.h);
   // untouched (and empty) with tuning disabled.
   SelfTuneColumnState tuning;
@@ -146,6 +150,7 @@ Result<RefreshColumnId> RefreshManager::RegisterColumn(
   state->distinct = pairs.size();
   state->moments = ComputeIdealMoments(state->maintainer.current(), pairs);
   state->dirty = true;
+  state->unchanged_since_build = true;
 
   const RefreshColumnId id = static_cast<RefreshColumnId>(columns_.size());
   // Write-ahead, inside the manager lock, BEFORE install: a registration
@@ -238,6 +243,10 @@ Status RefreshManager::ApplyDeltaLocked(ColumnState& state, int64_t value,
   const uint64_t units =
       static_cast<uint64_t>(std::llround(std::fabs(weight)));
   for (uint64_t u = 0; u < units; ++u) {
+    // Every applied delta moves the maintained histogram away from the
+    // build, even a delete of an untracked value (which leaves `ideal`
+    // alone), so a rebuild may change the column again.
+    state.unchanged_since_build = false;
     bool is_explicit = false;
     state.maintainer.current().LookupFrequency(value, &is_explicit);
     auto [it, inserted] = state.ideal.try_emplace(value, 0.0);
@@ -254,15 +263,20 @@ Status RefreshManager::ApplyDeltaLocked(ColumnState& state, int64_t value,
     const double old_freq = it->second;
     const double new_freq = std::max(0.0, old_freq + sign);
     it->second = new_freq;
+    const bool appeared = old_freq <= 0 && new_freq > 0;
+    const bool vanished = old_freq > 0 && new_freq <= 0;
 
     state.moments.total_sum_sq += new_freq * new_freq - old_freq * old_freq;
     if (!is_explicit) {
-      if (inserted) state.moments.default_count += 1.0;
+      // Only positive counts are values of the column, as in
+      // SortedPositiveIdeal, from which registration and rebuilds compute.
+      if (appeared) state.moments.default_count += 1.0;
+      if (vanished) state.moments.default_count -= 1.0;
       state.moments.default_sum += new_freq - old_freq;
       state.moments.default_sum_sq +=
           new_freq * new_freq - old_freq * old_freq;
     }
-    if (old_freq <= 0 && new_freq > 0) {
+    if (appeared) {
       if (state.distinct == 0) {
         state.min_value = value;
         state.max_value = value;
@@ -271,7 +285,7 @@ Status RefreshManager::ApplyDeltaLocked(ColumnState& state, int64_t value,
         state.max_value = std::max(state.max_value, value);
       }
       ++state.distinct;
-    } else if (old_freq > 0 && new_freq <= 0) {
+    } else if (vanished) {
       if (state.distinct > 0) --state.distinct;
     }
 
@@ -376,6 +390,8 @@ Status RefreshManager::TuneColumnsLocked(bool* changed) {
       // moments) changed shape — recompute from scratch like a rebuild does.
       RecomputeMomentsLocked(state);
     }
+    // A rebuild would now replace the tuned histogram, so it may change it.
+    state.unchanged_since_build = false;
     state.dirty = true;
     HOPS_RETURN_NOT_OK(WriteBackLocked(state));
     if (changed != nullptr) *changed = true;
@@ -411,6 +427,7 @@ StalenessScore RefreshManager::ScoreLocked(const ColumnState& state) const {
   signals.feedback_error = state.feedback_ewma;
   signals.tuning_recency = state.tuning.recency;
   signals.maintainer_wants_rebuild = state.maintainer.NeedsRebuild();
+  signals.unchanged_since_build = state.unchanged_since_build;
   return advisor_.Score(signals);
 }
 
@@ -521,6 +538,7 @@ Status RefreshManager::RebuildColumnsLocked(
     state.tuning.OnRebuild();
     ++state.rebuilds;
     state.dirty = true;
+    state.unchanged_since_build = true;
     switch (picks[p].second) {
       case RebuildReason::kSelfJoin: rebuilds_self_join_.Increment(); break;
       case RebuildReason::kFeedback: rebuilds_feedback_.Increment(); break;
@@ -539,11 +557,8 @@ Status RefreshManager::RebuildColumnsLocked(
 }
 
 void RefreshManager::RecomputeMomentsLocked(ColumnState& state) {
-  std::vector<std::pair<int64_t, double>> pairs;
-  pairs.reserve(state.ideal.size());
-  for (const auto& [value, freq] : state.ideal) pairs.emplace_back(value, freq);
-  std::sort(pairs.begin(), pairs.end());
-  state.moments = ComputeIdealMoments(state.maintainer.current(), pairs);
+  state.moments = ComputeIdealMoments(state.maintainer.current(),
+                                      SortedPositiveIdeal(state.ideal));
 }
 
 Result<size_t> RefreshManager::RebuildIfStaleLocked(bool* changed) {
@@ -776,8 +791,11 @@ Status RefreshManager::RestoreDurableState(const RefreshDurableState& state) {
     const RefreshColumnId id = static_cast<RefreshColumnId>(columns_.size());
     columns_.push_back(std::move(st));
     by_name_.emplace(key, id);
-    // Moments are a deterministic function of (histogram, ideal); recompute
-    // instead of persisting (scoring-equivalent up to FP re-association).
+    // Moments are a deterministic function of (histogram, positive ideal
+    // counts); recompute instead of persisting. For integer counts the sums
+    // are exact, so a restored column scores as it did before export.
+    // unchanged_since_build stays clear: the image does not say whether the
+    // histogram carries tuning, so a recovered column may rebuild once.
     RecomputeMomentsLocked(*columns_[id]);
     HOPS_RETURN_NOT_OK(WriteBackLocked(*columns_[id]));
   }

@@ -176,7 +176,8 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   /// Rebuilds live state from an exported image. The manager must be empty
   /// (no registered columns) and configured with the same RefreshOptions
   /// that produced the image. Writes every column back to the catalog and
-  /// republishes once.
+  /// republishes once. Restored columns are not marked unchanged since
+  /// their build (the image may carry tuning), so each may rebuild once.
   Status RestoreDurableState(const RefreshDurableState& state);
 
   /// Replays one persisted registration record: identical to
@@ -237,7 +238,8 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   Result<StalenessScore> ScoreColumn(RefreshColumnId id) const;
 
   /// Rebuilds the worst-scoring rebuild-recommended columns (at most
-  /// options.max_rebuilds_per_tick) on the pool via BuildHistogramBatch,
+  /// options.max_rebuilds_per_tick; never one that no delta or tuning pass
+  /// changed since its last build) on the pool via BuildHistogramBatch,
   /// installs the results through HistogramMaintainer::Rebuilt, writes them
   /// back to the catalog, and republishes. Returns the number rebuilt.
   Result<size_t> RebuildIfStale();

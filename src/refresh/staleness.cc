@@ -126,8 +126,12 @@ StalenessScore StalenessAdvisor::Score(const StalenessSignals& signals) const {
         1.0 - options_.tuning_relief * signals.tuning_recency, 0.0, 1.0);
     score.total *= relief;
   }
-  score.rebuild_recommended = signals.maintainer_wants_rebuild ||
-                              score.total >= options_.rebuild_score_threshold;
+  // An unchanged column would rebuild into the same histogram: whatever its
+  // score, a rebuild cannot lower it.
+  score.rebuild_recommended =
+      !signals.unchanged_since_build &&
+      (signals.maintainer_wants_rebuild ||
+       score.total >= options_.rebuild_score_threshold);
   if (score.rebuild_recommended) {
     // Attribute to the dominant weighted component; the maintainer's own
     // policy is a drift signal.

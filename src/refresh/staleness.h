@@ -14,9 +14,13 @@
 // catalog form every explicit entry is a singleton bucket (V = 0), so the
 // whole error concentrates in the implicit default bucket — the score is
 // the default bucket's count times the variance of the ideal frequencies
-// that live there. It is zero right after a v-optimal rebuild (by
-// construction the default bucket groups near-equal frequencies) and grows
-// precisely when the bucketization goes stale.
+// that live there. Right after a v-optimal build it sits at a floor, the
+// least error β buckets can reach on the column, which is not always small
+// (a low-skew column with few buckets keeps unequal frequencies in its
+// default bucket), and it grows when the bucketization goes stale. A
+// rebuild of an unchanged column would reproduce the same histogram
+// (construction is deterministic in the frequency set), so the advisor
+// never recommends one (StalenessSignals::unchanged_since_build).
 //
 // The advisor combines three signals into one priority:
 //   drift      — tuple churn since the last build (the existing
@@ -41,9 +45,10 @@ namespace hops {
 class CatalogHistogram;
 
 /// \brief Moments of the ideal (true) frequencies, classified against a
-/// maintained histogram's bucketization. `default_*` cover the values that
-/// fall into the implicit default bucket; `total_sum_sq` is the exact
-/// self-join size of the whole ideal set (Theorem 2.1, S = sum f^2).
+/// maintained histogram's bucketization. `default_*` cover the values with
+/// a positive ideal count that fall into the implicit default bucket (a
+/// value whose count is zero is not in the column); `total_sum_sq` is the
+/// exact self-join size of the whole ideal set (Theorem 2.1, S = sum f^2).
 /// Maintainable incrementally under ±1 deltas (all quantities are sums of
 /// integer-valued terms, exact in double below 2^53).
 struct IdealColumnMoments {
@@ -54,9 +59,10 @@ struct IdealColumnMoments {
 };
 
 /// \brief Computes the moments from scratch: every (value, ideal frequency)
-/// pair is classified explicit-vs-default against \p maintained. Used at
-/// registration and after every rebuild; deltas update the result
-/// incrementally in O(log n) per record.
+/// pair is classified explicit-vs-default against \p maintained, so \p ideal
+/// must hold positive counts only. Used at registration, after every
+/// rebuild and on restore; deltas update the result incrementally in
+/// O(log n) per record.
 IdealColumnMoments ComputeIdealMoments(
     const CatalogHistogram& maintained,
     std::span<const std::pair<int64_t, double>> ideal);
@@ -103,6 +109,12 @@ struct StalenessSignals {
   /// The maintainer's own drift policy verdict (HistogramMaintainer::
   /// NeedsRebuild) — an OR-in, so the legacy policy still fires.
   bool maintainer_wants_rebuild = false;
+  /// Nothing changed the column since its histogram was built from its
+  /// ideal frequencies: no delta was applied and no tuning pass moved it.
+  /// A rebuild would then produce the same histogram, so while this is set
+  /// the advisor never recommends one; the score still reports the error
+  /// that remains (tuning, not rebuilding, is what can lower it).
+  bool unchanged_since_build = false;
 };
 
 /// \brief Which signal dominated a rebuild decision (for RefreshStats).

@@ -429,6 +429,8 @@ TEST_F(DebugEndpointsTest, ColumnsReportsStatisticsAndStalenessVerdicts) {
     EXPECT_GE(staleness->GetNumber("score").ValueOrDie(), 0.0);
     EXPECT_NE(staleness->Find("drift_fraction"), nullptr);
     EXPECT_NE(staleness->Find("rebuild_recommended"), nullptr);
+    // No deltas reached these columns, so a rebuild cannot change them.
+    EXPECT_TRUE(staleness->GetBool("unchanged_since_build").ValueOrDie());
     EXPECT_FALSE(staleness->GetString("reason").ValueOrDie().empty());
     EXPECT_EQ(staleness->GetInt("deltas_applied").ValueOrDie(), 0);
   }

@@ -14,6 +14,7 @@
 
 #include "estimator/serving.h"
 #include "stats/zipf.h"
+#include "telemetry/metrics.h"
 
 namespace hops {
 namespace {
@@ -44,6 +45,31 @@ Result<RefreshColumnId> RegisterSkewed(RefreshManager* manager,
   freqs[0] = 400.0;
   freqs[1] = 200.0;
   return manager->RegisterColumn(table, column, values, freqs);
+}
+
+// Options and column for which a fresh build already scores at or above
+// the rebuild threshold: a Zipf(0.5) column over 1000 values built with
+// β = 16 leaves unequal frequencies in the default bucket, so its Prop 3.1
+// error right after a build stays above 0.10. A rebuild reproduces the
+// same histogram, so it must never be scheduled while the column is
+// unchanged.
+RefreshOptions FloorOptions() {
+  RefreshOptions options;
+  options.statistics.num_buckets = 16;
+  return options;
+}
+
+Result<RefreshColumnId> RegisterFloorColumn(RefreshManager* manager,
+                                            const std::string& table,
+                                            const std::string& column) {
+  ZipfParams params;
+  params.total = 100000.0;
+  params.num_values = 1000;
+  params.skew = 0.5;
+  HOPS_ASSIGN_OR_RETURN(std::vector<double> freqs,
+                        ZipfFrequenciesInteger(params));
+  return manager->RegisterColumn(table, column,
+                                 TailValues(1, params.num_values), freqs);
 }
 
 TEST(RefreshManagerTest, RegisterColumnStoresAndPublishes) {
@@ -254,6 +280,10 @@ TEST(RefreshManagerTest, FeedbackDrivesRebuildReason) {
   RefreshManager manager(&f.catalog, &f.store, options);
   auto id = RegisterSkewed(&manager, "orders", "customer_id");
   ASSERT_TRUE(id.ok());
+  // Feedback alone cannot make a rebuild worthwhile on a column nothing
+  // changed since its build; one delta (its drift weighted out) can.
+  ASSERT_TRUE(manager.RecordInsert(*id, 1).ok());
+  ASSERT_TRUE(manager.ApplyPendingDeltas().ok());
 
   EstimationFeedbackSink* sink = &manager;
   sink->ReportEstimationError("orders", "customer_id", 100.0, 1000.0);
@@ -390,6 +420,11 @@ TEST(RefreshManagerTest, SelfTuningAdjustsHistogramInPlace) {
   EXPECT_EQ(reports[0].tuning_observations, 1u);
   EXPECT_GE(reports[0].tuning_adjustments, 1u);
   EXPECT_GT(reports[0].tuning_recency, 0.0);
+  // A rebuild would now replace the tuned histogram, so the pass made the
+  // column eligible for one; the feedback keeps it above the threshold
+  // despite the relief.
+  EXPECT_FALSE(reports[0].score.signals.unchanged_since_build);
+  EXPECT_TRUE(reports[0].score.rebuild_recommended);
 }
 
 TEST(RefreshManagerTest, SelfTuningOffLeavesStatisticsByteIdentical) {
@@ -423,21 +458,44 @@ TEST(RefreshManagerTest, SelfTuningOffLeavesStatisticsByteIdentical) {
   auto score = manager.ScoreColumn(*id);
   ASSERT_TRUE(score.ok());
   EXPECT_GT(score->signals.feedback_error, 0.0);
+  // Feedback alone leaves the column unchanged since its build: its score
+  // passes the threshold, but a rebuild would reproduce the histogram.
+  EXPECT_GE(score->total, manager.options().staleness.rebuild_score_threshold);
+  EXPECT_TRUE(score->signals.unchanged_since_build);
+  EXPECT_FALSE(score->rebuild_recommended);
 }
 
+// ForceRebuild is unconditional. On a column nothing changed since its
+// build it reproduces the histogram byte for byte, which is why skipping
+// that rebuild serves the same bits.
 TEST(RefreshManagerTest, ForceRebuildCountsAsForced) {
-  Fixture f;
-  RefreshManager manager(&f.catalog, &f.store);
-  auto id = RegisterSkewed(&manager, "orders", "customer_id");
-  ASSERT_TRUE(id.ok());
-  std::vector<RefreshColumnId> ids = {*id};
-  ASSERT_TRUE(manager.ForceRebuild(ids).ok());
-  RefreshStats stats = manager.stats();
-  EXPECT_EQ(stats.rebuilds_forced, 1u);
-  EXPECT_EQ(stats.rebuilds_total, 1u);
+  for (const bool floor : {false, true}) {
+    SCOPED_TRACE(floor ? "floor column" : "skewed column");
+    Fixture f;
+    RefreshManager manager(&f.catalog, &f.store,
+                           floor ? FloorOptions() : RefreshOptions{});
+    auto id = floor ? RegisterFloorColumn(&manager, "orders", "customer_id")
+                    : RegisterSkewed(&manager, "orders", "customer_id");
+    ASSERT_TRUE(id.ok());
+    auto before = f.catalog.GetColumnStatistics("orders", "customer_id");
+    ASSERT_TRUE(before.ok());
+    const std::string bytes_before = before->histogram.Encode();
 
-  std::vector<RefreshColumnId> bad = {42};
-  EXPECT_TRUE(manager.ForceRebuild(bad).IsInvalidArgument());
+    std::vector<RefreshColumnId> ids = {*id};
+    ASSERT_TRUE(manager.ForceRebuild(ids).ok());
+    RefreshStats stats = manager.stats();
+    EXPECT_EQ(stats.rebuilds_forced, 1u);
+    EXPECT_EQ(stats.rebuilds_total, 1u);
+    auto after = f.catalog.GetColumnStatistics("orders", "customer_id");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->histogram.Encode(), bytes_before);
+    auto score = manager.ScoreColumn(*id);
+    ASSERT_TRUE(score.ok());
+    EXPECT_TRUE(score->signals.unchanged_since_build);
+
+    std::vector<RefreshColumnId> bad = {42};
+    EXPECT_TRUE(manager.ForceRebuild(bad).IsInvalidArgument());
+  }
 }
 
 TEST(RefreshManagerTest, MaxRebuildsPerTickCapsWork) {
@@ -543,33 +601,41 @@ TEST(RefreshManagerTest, BusyTickPublishesExactlyOnce) {
 }
 
 // A no-op tick must not churn the RCU epoch: nothing changed, nothing is
-// published, and the skip is visible in RefreshStats::ticks_skipped.
+// published, and the skip is visible in RefreshStats::ticks_skipped. That
+// holds for a column that scores ~0 after its build and for one whose
+// post-build score sits at or above the rebuild threshold.
 TEST(RefreshManagerTest, NoOpTickSkipsPublication) {
-  Fixture f;
-  RefreshManager manager(&f.catalog, &f.store);
-  auto id = RegisterSkewed(&manager, "orders", "customer_id");
-  ASSERT_TRUE(id.ok());
-  const uint64_t republish_before = manager.stats().republish_count;
-  auto snapshot_before = f.store.Current();
+  for (const bool floor : {false, true}) {
+    SCOPED_TRACE(floor ? "floor column" : "skewed column");
+    Fixture f;
+    RefreshManager manager(&f.catalog, &f.store,
+                           floor ? FloorOptions() : RefreshOptions{});
+    auto id = floor ? RegisterFloorColumn(&manager, "orders", "customer_id")
+                    : RegisterSkewed(&manager, "orders", "customer_id");
+    ASSERT_TRUE(id.ok());
+    const uint64_t republish_before = manager.stats().republish_count;
+    auto snapshot_before = f.store.Current();
 
-  auto idle = manager.Tick();
-  ASSERT_TRUE(idle.ok());
-  EXPECT_FALSE(idle->changed);
-  EXPECT_FALSE(idle->republished);
-  RefreshStats stats = manager.stats();
-  EXPECT_EQ(stats.ticks, 1u);
-  EXPECT_EQ(stats.ticks_skipped, 1u);
-  EXPECT_EQ(stats.republish_count, republish_before);
-  // Readers keep the very same snapshot object — the epoch did not move.
-  EXPECT_EQ(f.store.Current().get(), snapshot_before.get());
+    auto idle = manager.Tick();
+    ASSERT_TRUE(idle.ok());
+    EXPECT_FALSE(idle->changed);
+    EXPECT_FALSE(idle->republished);
+    EXPECT_EQ(idle->columns_rebuilt, 0u);
+    RefreshStats stats = manager.stats();
+    EXPECT_EQ(stats.ticks, 1u);
+    EXPECT_EQ(stats.ticks_skipped, 1u);
+    EXPECT_EQ(stats.republish_count, republish_before);
+    // Readers keep the very same snapshot object — the epoch did not move.
+    EXPECT_EQ(f.store.Current().get(), snapshot_before.get());
 
-  // A record against an unknown id drains but changes nothing: still a
-  // skip, not a publication.
-  ASSERT_TRUE(manager.RecordInsert(999, 1).ok());
-  auto unknown_only = manager.Tick();
-  ASSERT_TRUE(unknown_only.ok());
-  EXPECT_FALSE(unknown_only->republished);
-  EXPECT_EQ(manager.stats().ticks_skipped, 2u);
+    // A record against an unknown id drains but changes nothing: still a
+    // skip, not a publication.
+    ASSERT_TRUE(manager.RecordInsert(999, 1).ok());
+    auto unknown_only = manager.Tick();
+    ASSERT_TRUE(unknown_only.ok());
+    EXPECT_FALSE(unknown_only->republished);
+    EXPECT_EQ(manager.stats().ticks_skipped, 2u);
+  }
 }
 
 // Null-store mode: the embedding coordinator (ShardedRefreshManager) owns
@@ -635,6 +701,197 @@ TEST(RefreshManagerTest, DeleteOfUntrackedValueIsDriftOnly) {
   auto stats = f.catalog.GetColumnStatistics("orders", "customer_id");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->num_distinct, 20u);
+}
+
+// The idle-catalog regression: a column whose fresh build already scores
+// at or above the threshold used to be rebuilt into the same histogram on
+// every tick, each rebuild republishing and emptying the estimate cache.
+TEST(RefreshManagerTest, UnchangedColumnAboveThresholdIsNeverRebuilt) {
+  telemetry::SetEnabled(true);
+  Fixture f;
+  RefreshManager manager(&f.catalog, &f.store, FloorOptions());
+  auto id = RegisterFloorColumn(&manager, "fact", "key");
+  ASSERT_TRUE(id.ok());
+  auto fresh = manager.ScoreColumn(*id);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_GE(fresh->total,
+            manager.options().staleness.rebuild_score_threshold)
+      << "the column must score at or above the threshold right after its "
+         "build";
+  EXPECT_GT(fresh->signals.self_join_error, 0.0);
+  EXPECT_TRUE(fresh->signals.unchanged_since_build);
+  EXPECT_FALSE(fresh->rebuild_recommended);
+  EXPECT_EQ(fresh->reason, RebuildReason::kNone);
+
+  // Cache estimates on the published snapshot (equality and range specs
+  // go through EstimateBatch's estimate cache).
+  const std::shared_ptr<const CatalogSnapshot> before = f.store.Current();
+  auto column = before->Resolve("fact", "key");
+  ASSERT_TRUE(column.ok());
+  const std::vector<EstimateSpec> specs = {
+      EstimateSpec::Equality(*column, Value(int64_t{3})),
+      EstimateSpec::Range(*column, RangeBounds{10, 90})};
+  std::vector<Result<double>> first = EstimateBatch(*before, specs);
+  const uint64_t republish_before = manager.stats().republish_count;
+
+  constexpr uint64_t kTicks = 25;
+  for (uint64_t t = 0; t < kTicks; ++t) {
+    auto report = manager.Tick();
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->columns_rebuilt, 0u);
+    EXPECT_FALSE(report->republished);
+  }
+  RefreshStats stats = manager.stats();
+  EXPECT_EQ(stats.ticks, kTicks);
+  EXPECT_EQ(stats.ticks_skipped, kTicks);
+  EXPECT_EQ(stats.rebuilds_total, 0u);
+  EXPECT_EQ(stats.republish_count, republish_before);
+  const std::shared_ptr<const CatalogSnapshot> after = f.store.Current();
+  EXPECT_EQ(after.get(), before.get());
+
+  // The estimates cached before the ticks still hit, with the same bits.
+  telemetry::Counter* hits = telemetry::MetricRegistry::Global().GetCounter(
+      "hops_estimate_cache_hits_total",
+      "EstimateBatch specs served from the snapshot estimate cache.");
+  const uint64_t hits_before = hits->Value();
+  std::vector<Result<double>> again = EstimateBatch(*after, specs);
+  EXPECT_EQ(hits->Value() - hits_before, specs.size());
+  ASSERT_EQ(again.size(), first.size());
+  for (size_t i = 0; i < again.size(); ++i) {
+    ASSERT_TRUE(first[i].ok());
+    ASSERT_TRUE(again[i].ok());
+    EXPECT_EQ(*again[i], *first[i]) << "spec " << i;
+  }
+
+  // The score still reports the floor a rebuild cannot lower.
+  auto later = manager.ScoreColumn(*id);
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->total, fresh->total);
+}
+
+// One applied delta makes the column eligible again; the rebuild it earns
+// marks the column unchanged, so the following ticks are skipped.
+TEST(RefreshManagerTest, OneDeltaMakesAnUnchangedColumnEligible) {
+  for (const bool untracked_delete : {false, true}) {
+    SCOPED_TRACE(untracked_delete ? "delete of an untracked value"
+                                  : "insert of a tracked value");
+    Fixture f;
+    RefreshManager manager(&f.catalog, &f.store, FloorOptions());
+    auto id = RegisterFloorColumn(&manager, "fact", "key");
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(manager.Tick().ok());
+    EXPECT_EQ(manager.stats().rebuilds_total, 0u);
+
+    ASSERT_TRUE(untracked_delete ? manager.RecordDelete(*id, 5000).ok()
+                                 : manager.RecordInsert(*id, 500).ok());
+    auto busy = manager.Tick();
+    ASSERT_TRUE(busy.ok());
+    EXPECT_EQ(busy->deltas_applied, 1u);
+    EXPECT_EQ(busy->columns_rebuilt, 1u);
+    EXPECT_TRUE(busy->republished);
+    auto score = manager.ScoreColumn(*id);
+    ASSERT_TRUE(score.ok());
+    EXPECT_TRUE(score->signals.unchanged_since_build);
+
+    auto idle = manager.Tick();
+    ASSERT_TRUE(idle.ok());
+    EXPECT_EQ(idle->columns_rebuilt, 0u);
+    EXPECT_FALSE(idle->republished);
+    EXPECT_EQ(manager.stats().rebuilds_total, 1u);
+    EXPECT_EQ(manager.stats().ticks_skipped, 2u);
+  }
+}
+
+// A restored column may carry tuning the image does not record, so it is
+// eligible for one rebuild; after that it is unchanged again.
+TEST(RefreshManagerTest, RestoredColumnIsEligibleOnce) {
+  Fixture f;
+  RefreshManager original(&f.catalog, &f.store, FloorOptions());
+  ASSERT_TRUE(RegisterFloorColumn(&original, "fact", "key").ok());
+  auto image = original.ExportDurableState();
+  ASSERT_TRUE(image.ok());
+
+  Fixture g;
+  RefreshManager restored(&g.catalog, &g.store, FloorOptions());
+  ASSERT_TRUE(restored.RestoreDurableState(*image).ok());
+  auto score = restored.ScoreColumn(0);
+  ASSERT_TRUE(score.ok());
+  EXPECT_FALSE(score->signals.unchanged_since_build);
+  EXPECT_TRUE(score->rebuild_recommended);
+
+  auto first = restored.Tick();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->columns_rebuilt, 1u);
+  auto second = restored.Tick();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->columns_rebuilt, 0u);
+  EXPECT_FALSE(second->republished);
+}
+
+// The Prop 3.1 moments count positive ideal values only, at registration,
+// on every delta and on restore, so a warm restart scores every column
+// exactly as before (integer counts make every moment an exact sum).
+TEST(RefreshManagerTest, StalenessSignalsSurviveExportRestoreExactly) {
+  Fixture f;
+  RefreshManager original(&f.catalog, &f.store);
+  // Values 1..20: 400, 200, then 10 + v % 3; value 20 registered at zero.
+  std::vector<int64_t> values = TailValues(1, 20);
+  std::vector<double> freqs(20);
+  for (int64_t v = 1; v <= 20; ++v) {
+    freqs[static_cast<size_t>(v - 1)] = 10.0 + static_cast<double>(v % 3);
+  }
+  freqs[0] = 400.0;
+  freqs[1] = 200.0;
+  freqs[19] = 0.0;
+  auto zeros = original.RegisterColumn("t", "registered_zero", values, freqs);
+  ASSERT_TRUE(zeros.ok());
+
+  // Default-bucket values deleted to zero (one of them revived and deleted
+  // again), deletes of the explicit heavy hitter, and the registered zero
+  // revived and deleted back to zero.
+  auto deleted = RegisterSkewed(&original, "t", "deleted_to_zero");
+  ASSERT_TRUE(deleted.ok());
+  std::vector<UpdateRecord> batch = {
+      UpdateRecord{*deleted, 5, -10.0}, UpdateRecord{*deleted, 6, -10.0},
+      UpdateRecord{*deleted, 6, +1.0},  UpdateRecord{*deleted, 6, -1.0},
+      UpdateRecord{*deleted, 7, -3.0},  UpdateRecord{*deleted, 1, -50.0},
+      UpdateRecord{*zeros, 20, +2.0},   UpdateRecord{*zeros, 20, -2.0}};
+  ASSERT_TRUE(original.RecordBatch(batch).ok());
+  ASSERT_TRUE(original.ApplyPendingDeltas().ok());
+
+  auto image = original.ExportDurableState();
+  ASSERT_TRUE(image.ok());
+  Fixture g;
+  RefreshManager restored(&g.catalog, &g.store);
+  ASSERT_TRUE(restored.RestoreDurableState(*image).ok());
+
+  for (const RefreshColumnId id : {*zeros, *deleted}) {
+    SCOPED_TRACE("column " + std::to_string(id));
+    auto before = original.ScoreColumn(id);
+    auto after = restored.ScoreColumn(id);
+    ASSERT_TRUE(before.ok());
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->signals.drift_fraction, before->signals.drift_fraction);
+    EXPECT_EQ(after->signals.self_join_error,
+              before->signals.self_join_error);
+    EXPECT_EQ(after->signals.self_join_relative,
+              before->signals.self_join_relative);
+    EXPECT_EQ(after->signals.feedback_error, before->signals.feedback_error);
+    EXPECT_EQ(after->signals.tuning_recency, before->signals.tuning_recency);
+    EXPECT_EQ(after->signals.maintainer_wants_rebuild,
+              before->signals.maintainer_wants_rebuild);
+    EXPECT_EQ(after->total, before->total);
+  }
+  // The registered zero is not a value of the column: the error matches a
+  // registration without it.
+  Fixture h;
+  RefreshManager without_zero(&h.catalog, &h.store);
+  auto positive = without_zero.RegisterColumn(
+      "t", "registered_zero", std::span(values).first(19),
+      std::span(freqs).first(19));
+  ASSERT_TRUE(positive.ok());
+  EXPECT_EQ(restored.ScoreColumn(*zeros)->signals.self_join_error,
+            without_zero.ScoreColumn(*positive)->signals.self_join_error);
 }
 
 }  // namespace

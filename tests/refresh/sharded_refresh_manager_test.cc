@@ -220,6 +220,55 @@ TEST(ShardedRefreshManagerTest, TickSkipsPublicationWhenNothingChanged) {
   }
 }
 
+// Idle ticks over columns whose fresh builds already score at or above
+// the rebuild threshold (Zipf(0.5) over 1000 values, β = 16): a rebuild
+// would reproduce each histogram, so no shard demands one and no tick
+// publishes — at any shard count.
+TEST(ShardedRefreshManagerTest, IdleTicksNeverRebuildUnchangedColumns) {
+  ZipfParams params;
+  params.total = 100000.0;
+  params.num_values = 1000;
+  params.skew = 0.5;
+  auto freqs = ZipfFrequenciesInteger(params);
+  ASSERT_TRUE(freqs.ok());
+  const std::vector<int64_t> values = TailValues(1, params.num_values);
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SnapshotStore store;
+    ShardedRefreshOptions options;
+    options.shards = shards;
+    options.refresh.statistics.num_buckets = 16;
+    ShardedRefreshManager manager(&store, options);
+    for (int c = 0; c < 8; ++c) {
+      ASSERT_TRUE(
+          manager.RegisterColumn("t", "col" + std::to_string(c), values, *freqs)
+              .ok());
+    }
+    for (const ColumnStalenessReport& report : manager.ScoreColumns()) {
+      ASSERT_GE(report.score.total,
+                options.refresh.staleness.rebuild_score_threshold);
+      EXPECT_TRUE(report.score.signals.unchanged_since_build);
+      EXPECT_FALSE(report.score.rebuild_recommended);
+    }
+    const auto snapshot_before = store.Current();
+    const uint64_t republish_before = manager.stats().total.republish_count;
+
+    constexpr uint64_t kTicks = 10;
+    for (uint64_t t = 0; t < kTicks; ++t) {
+      auto report = manager.Tick();
+      ASSERT_TRUE(report.ok());
+      EXPECT_EQ(report->columns_rebuilt, 0u);
+      EXPECT_FALSE(report->republished);
+    }
+    ShardedRefreshStats stats = manager.stats();
+    EXPECT_EQ(stats.total.ticks, kTicks);
+    EXPECT_EQ(stats.total.ticks_skipped, kTicks);
+    EXPECT_EQ(stats.total.rebuilds_total, 0u);
+    EXPECT_EQ(stats.total.republish_count, republish_before);
+    EXPECT_EQ(store.Current().get(), snapshot_before.get());
+  }
+}
+
 TEST(ShardedRefreshManagerTest, NullStoreDisablesPublication) {
   ShardedRefreshOptions options;
   options.shards = 2;
@@ -370,9 +419,13 @@ TEST(ShardedRefreshManagerTest, JointBudgetPrefersTheHotRelation) {
   };
 
   // Shard 1's relation is hot (q-error 0.9); shard 0's is warm (0.2) —
-  // both above the 0.10 rebuild threshold, so both DEMAND a slot.
+  // both above the 0.10 rebuild threshold, so both DEMAND a slot. Each
+  // takes one delta first (its drift weighted out): feedback alone never
+  // asks for a rebuild of a column nothing changed since its build.
   const size_t hot_shard = 1;
   const size_t warm_shard = 0;
+  ASSERT_TRUE(manager.RecordInsert(on_shard[hot_shard], 1).ok());
+  ASSERT_TRUE(manager.RecordInsert(on_shard[warm_shard], 1).ok());
   EstimationFeedbackSink* sink = &manager;
   sink->ReportEstimationError(table_of(on_shard[hot_shard]),
                               column_of(on_shard[hot_shard]), 100.0, 1000.0);

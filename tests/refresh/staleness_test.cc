@@ -108,6 +108,17 @@ TEST(StalenessAdvisorTest, ThresholdGatesTheRecommendation) {
   StalenessScore score = advisor.Score(at);
   EXPECT_TRUE(score.rebuild_recommended);
   EXPECT_EQ(score.reason, RebuildReason::kDrift);
+
+  // A column unchanged since its build keeps its score but is never
+  // recommended, not even by the maintainer's verdict: a rebuild would
+  // reproduce the same histogram.
+  StalenessSignals unchanged = at;
+  unchanged.maintainer_wants_rebuild = true;
+  unchanged.unchanged_since_build = true;
+  const StalenessScore kept = advisor.Score(unchanged);
+  EXPECT_EQ(kept.total, score.total);
+  EXPECT_FALSE(kept.rebuild_recommended);
+  EXPECT_EQ(kept.reason, RebuildReason::kNone);
 }
 
 TEST(StalenessAdvisorTest, MaintainerVerdictForcesRecommendation) {

@@ -110,9 +110,13 @@ TEST(TraceRecorderTest, ConcurrentEmitVersusCollect) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
-      // do-while: even if this thread is scheduled only after the writers
-      // finish (loaded CI box), it still collects the ring's final state.
+      // `stop` is read before each Collect and the loop ends only after a
+      // Collect that began once `stop` was set, i.e. after every writer
+      // finished: a reader that ran its first Collect before the writers
+      // started still collects the rings' final state.
+      bool writers_done = false;
       do {
+        writers_done = stop.load(std::memory_order_acquire);
         const std::vector<TraceEvent> events = recorder.Collect();
         collected.fetch_add(events.size(), std::memory_order_relaxed);
         for (const TraceEvent& event : events) {
@@ -125,7 +129,7 @@ TEST(TraceRecorderTest, ConcurrentEmitVersusCollect) {
             torn.fetch_add(1, std::memory_order_relaxed);
           }
         }
-      } while (!stop.load(std::memory_order_relaxed));
+      } while (!writers_done);
     });
   }
   std::vector<std::thread> writers;
@@ -137,7 +141,7 @@ TEST(TraceRecorderTest, ConcurrentEmitVersusCollect) {
     });
   }
   for (std::thread& thread : writers) thread.join();
-  stop.store(true, std::memory_order_relaxed);
+  stop.store(true, std::memory_order_release);
   for (std::thread& thread : readers) thread.join();
 
   EXPECT_EQ(torn.load(), 0u);
