@@ -17,11 +17,12 @@
 //                    RefreshDaemon continuously applies, rebuilds, and
 //                    republishes. This is the RCU promise measured: reader
 //                    tail latency must not collapse under maintenance.
-//   sharded_drain  — drain throughput of the §10 ShardedRefreshManager:
-//                    four producers fanning RecordBatch sub-batches across
-//                    shard-local logs while the coordinator ticks, swept
-//                    over shards ∈ {1, 2, 4} ({1, 2} under --quick). The
-//                    shards axis and speedup_vs_1 are recorded, never
+//   sharded_drain  — drain throughput of RefreshManager's partitioned
+//                    apply (§8 "Apply partitions"): four producers enqueue
+//                    64-record RecordBatch chunks into the one log while a
+//                    consumer ticks, swept over shards ∈ {1, 2, 4} ({1, 2}
+//                    under --quick), with queue_capacity = 16384 × shards.
+//                    The shards axis and speedup_vs_1 are recorded, never
 //                    asserted — on a one-hardware-thread CI box the curve
 //                    is flat; the JSON makes the trajectory machine-
 //                    readable where real cores exist.
@@ -61,7 +62,6 @@
 #include "estimator/serving.h"
 #include "refresh/refresh_daemon.h"
 #include "refresh/refresh_manager.h"
-#include "refresh/sharded_refresh_manager.h"
 #include "telemetry/exporters.h"
 #include "telemetry/metrics.h"
 #include "util/stopwatch.h"
@@ -87,11 +87,8 @@ double ZipfFrequency(size_t i, uint64_t salt) {
 
 std::string TableName(size_t i) { return "t" + std::to_string(i); }
 
-// Works for both RefreshManager and ShardedRefreshManager — the
-// registration surface is contract-identical (DESIGN.md §10).
-template <typename Manager>
 Result<std::vector<RefreshColumnId>> RegisterColumns(
-    Manager* manager, const BenchConfig& cfg) {
+    RefreshManager* manager, const BenchConfig& cfg) {
   std::vector<RefreshColumnId> ids;
   ids.reserve(cfg.num_columns);
   std::vector<int64_t> values(cfg.values_per_column);
@@ -340,10 +337,13 @@ int Run(int argc, char** argv) {
             << " republishes)\n";
 
   // ----------------------------- phase 4: sharded drain throughput sweep
-  // DESIGN.md §10: producers route RecordBatch sub-batches to shard-local
-  // logs; the coordinator's Tick drains every shard in parallel on the
-  // global pool and publishes one merged snapshot. Rebuild policy is off —
-  // this phase isolates the enqueue → drain → apply → merge-publish path.
+  // DESIGN.md §8 "Apply partitions": producers enqueue RecordBatch chunks
+  // into the one log; each Tick buckets the drain by column hash and
+  // applies the buckets in parallel on the global pool, then publishes
+  // once. Rebuild policy is off — this phase isolates the enqueue → drain →
+  // apply → publish path. The log holds 16384 records per shard: whether a
+  // partitioned apply keeps up with four producers depends on the log's
+  // total capacity, so the backpressure budget scales with the shard count.
   struct ShardSweepPoint {
     size_t shards = 0;
     uint64_t deltas = 0;
@@ -361,13 +361,14 @@ int Run(int argc, char** argv) {
   const size_t per_producer = cfg.apply_deltas / kShardProducers;
   std::vector<ShardSweepPoint> shard_sweep;
   for (size_t shards : shard_counts) {
+    Catalog sharded_catalog;
     SnapshotStore sharded_store;
-    ShardedRefreshOptions sharded_options;
+    RefreshOptions sharded_options;
     sharded_options.shards = shards;
-    sharded_options.refresh.queue_capacity = 1 << 14;
-    sharded_options.refresh.maintenance.rebuild_drift_fraction = 1e18;
-    sharded_options.refresh.staleness.rebuild_score_threshold = 1e18;
-    ShardedRefreshManager sharded(&sharded_store, sharded_options);
+    sharded_options.queue_capacity = (size_t{1} << 14) * shards;
+    sharded_options.maintenance.rebuild_drift_fraction = 1e18;
+    sharded_options.staleness.rebuild_score_threshold = 1e18;
+    RefreshManager sharded(&sharded_catalog, &sharded_store, sharded_options);
     auto shard_ids_or = RegisterColumns(&sharded, cfg);
     shard_ids_or.status().Check();
     const std::vector<RefreshColumnId>& shard_ids = *shard_ids_or;
@@ -410,10 +411,10 @@ int Run(int argc, char** argv) {
     sharded.Tick().status().Check();
     const double shard_seconds = sw_shard.ElapsedSeconds();
 
-    const ShardedRefreshStats sharded_stats = sharded.stats();
+    const RefreshStats sharded_stats = sharded.stats();
     ShardSweepPoint point;
     point.shards = shards;
-    point.deltas = sharded_stats.total.deltas_applied;
+    point.deltas = sharded_stats.deltas_applied;
     point.seconds = shard_seconds;
     point.deltas_per_second =
         shard_seconds > 0
@@ -423,10 +424,10 @@ int Run(int argc, char** argv) {
         !shard_sweep.empty() && shard_sweep.front().deltas_per_second > 0
             ? point.deltas_per_second / shard_sweep.front().deltas_per_second
             : 1.0;
-    point.producer_waits = sharded_stats.total.log.producer_waits;
-    point.republish_count = sharded_stats.total.republish_count;
-    point.ticks = sharded_stats.total.ticks;
-    point.ticks_skipped = sharded_stats.total.ticks_skipped;
+    point.producer_waits = sharded_stats.log.producer_waits;
+    point.republish_count = sharded_stats.republish_count;
+    point.ticks = sharded_stats.ticks;
+    point.ticks_skipped = sharded_stats.ticks_skipped;
     shard_sweep.push_back(point);
     std::cout << "  sharded_drain[shards=" << shards << "]: " << point.deltas
               << " deltas in " << point.seconds << "s ("

@@ -7,8 +7,9 @@
 #              suites (thread_pool_test, parallel_build_test,
 #              snapshot_concurrency_test, refresh_daemon_test,
 #              telemetry_concurrency_test, trace_recorder_test,
-#              sharded_refresh_soak_test, http_parser_test,
-#              net_server_test, storage_test, storage_crash_test)
+#              sharded_refresh_soak_test — sharding + durability + daemon
+#              in one soak —, http_parser_test, net_server_test,
+#              storage_test, storage_crash_test)
 #   --telemetry-smoke  build + run examples/feedback_loop and grep its
 #              Prometheus dump for the expected metric families (the §9
 #              end-to-end observability gate)
@@ -93,9 +94,9 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     "$b"
   done
 
-  # The refresh bench must carry the §10 shards axis plus the provenance
-  # fields every BENCH_*.json promises — a silent schema regression here
-  # would break cross-PR perf tracking.
+  # The refresh bench must carry the §8 apply-partition shards axis plus the
+  # provenance fields every BENCH_*.json promises — a silent schema
+  # regression here would break cross-PR perf tracking.
   echo "== Checking BENCH_refresh.json schema (shards axis + provenance) =="
   for field in '"shards"' '"speedup_vs_1"' '"ticks_skipped"' \
       '"selftune"' '"tuned_median_qerror"' '"tuned_beats_stale"' \
@@ -192,6 +193,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   HOPS_THREADS=4 ./build-tsan/tests/refresh_daemon_test
   HOPS_THREADS=4 ./build-tsan/tests/telemetry_concurrency_test
   HOPS_THREADS=4 ./build-tsan/tests/trace_recorder_test
+  # Apply partitions (shards = 3) + a RecoveryManager + the daemon, with a
+  # checkpoint mid-churn and a warm restart at shards = 1.
   HOPS_THREADS=4 ./build-tsan/tests/sharded_refresh_soak_test
   HOPS_THREADS=4 ./build-tsan/tests/http_parser_test
   HOPS_THREADS=4 ./build-tsan/tests/net_server_test

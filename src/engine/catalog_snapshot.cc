@@ -11,52 +11,15 @@ namespace hops {
 
 Result<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::Compile(
     const Catalog& catalog) {
-  // One code path for single- and multi-source compilation keeps the §10
-  // sharded publication bit-identical to the §7 single-catalog one.
-  const Catalog* const sources[] = {&catalog};
-  return CompileMerged(sources);
-}
-
-Result<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::CompileMerged(
-    std::span<const Catalog* const> catalogs) {
   auto snapshot = std::make_shared<CatalogSnapshot>();
-
-  // Gather every (table, column) with its owning catalog, then merge-sort.
-  // Each source's ListEntries is already sorted, so this is only not a pure
-  // k-way merge for simplicity; entry counts are small (one per column).
-  struct SourceEntry {
-    std::pair<std::string, std::string> key;
-    const Catalog* source;
-  };
-  std::vector<SourceEntry> entries;
-  uint64_t version_sum = 0;
-  for (const Catalog* catalog : catalogs) {
-    if (catalog == nullptr) {
-      return Status::InvalidArgument("CompileMerged: null catalog source");
-    }
-    version_sum += catalog->version();
-    for (auto& key : catalog->ListEntries()) {
-      entries.push_back(SourceEntry{std::move(key), catalog});
-    }
-  }
-  snapshot->source_version_ = version_sum;
-  std::sort(entries.begin(), entries.end(),
-            [](const SourceEntry& a, const SourceEntry& b) {
-              return a.key < b.key;
-            });
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].key == entries[i - 1].key) {
-      return Status::InvalidArgument(
-          "CompileMerged: column " + entries[i].key.first + "." +
-          entries[i].key.second + " is present in more than one source");
-    }
-  }
-
+  snapshot->source_version_ = catalog.version();
+  // ListEntries is sorted by (table, column), which Resolve relies on.
+  const std::vector<std::pair<std::string, std::string>> entries =
+      catalog.ListEntries();
   snapshot->columns_.reserve(entries.size());
-  for (const SourceEntry& entry : entries) {
-    const auto& [table, column] = entry.key;
+  for (const auto& [table, column] : entries) {
     HOPS_ASSIGN_OR_RETURN(ColumnStatistics stats,
-                          entry.source->GetColumnStatistics(table, column));
+                          catalog.GetColumnStatistics(table, column));
     CompiledColumnStats compiled;
     compiled.table = table;
     compiled.column = column;
@@ -162,14 +125,6 @@ Result<std::shared_ptr<const CatalogSnapshot>> SnapshotStore::RepublishFrom(
     const Catalog& catalog) {
   HOPS_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogSnapshot> snapshot,
                         CatalogSnapshot::Compile(catalog));
-  Publish(snapshot);
-  return snapshot;
-}
-
-Result<std::shared_ptr<const CatalogSnapshot>>
-SnapshotStore::RepublishFromMerged(std::span<const Catalog* const> catalogs) {
-  HOPS_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogSnapshot> snapshot,
-                        CatalogSnapshot::CompileMerged(catalogs));
   Publish(snapshot);
   return snapshot;
 }

@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,19 +61,6 @@ class CatalogSnapshot {
   /// serving layer pays this once per ANALYZE, not once per estimate.
   static Result<std::shared_ptr<const CatalogSnapshot>> Compile(
       const Catalog& catalog);
-
-  /// Compiles the union of several catalogs into ONE snapshot — the §10
-  /// sharded refresh path, where each shard owns a disjoint slice of the
-  /// columns in its own Catalog but readers must still see a single
-  /// consistent statistics version. Entries are merge-sorted by
-  /// (table, column); a pair present in more than one source is
-  /// InvalidArgument (shards partition columns, they never share one), as
-  /// is a null catalog pointer. An empty span compiles an empty snapshot.
-  /// source_version() is the SUM of the sources' versions, so it stays
-  /// monotone as long as every source catalog only moves forward —
-  /// Compile(catalog) is exactly CompileMerged({&catalog}).
-  static Result<std::shared_ptr<const CatalogSnapshot>> CompileMerged(
-      std::span<const Catalog* const> catalogs);
 
   /// Interns (table, column) to a dense id; NotFound when absent. Resolve
   /// once per plan, then estimate by id.
@@ -137,12 +123,6 @@ class SnapshotStore {
   /// Compile(catalog) + Publish; returns the published snapshot.
   Result<std::shared_ptr<const CatalogSnapshot>> RepublishFrom(
       const Catalog& catalog);
-
-  /// CompileMerged(catalogs) + Publish; returns the published snapshot.
-  /// One RCU swap covers every shard's catalog — readers never observe a
-  /// torn multi-shard publication.
-  Result<std::shared_ptr<const CatalogSnapshot>> RepublishFromMerged(
-      std::span<const Catalog* const> catalogs);
 
   /// Publications through this store (0 = still the constructor's empty
   /// snapshot — /healthz readiness gates on this).

@@ -1,10 +1,10 @@
 // Background refresh driver (DESIGN.md §8 "Daemon lifecycle").
 //
 // The RefreshDaemon owns one background thread that periodically runs
-// RefreshSource::Tick — drain the update log(s), apply deltas through the
+// RefreshSource::Tick — drain the update log, apply deltas through the
 // maintenance hooks, rebuild the stalest columns, republish one immutable
-// snapshot. The source is either a single RefreshManager (§8) or a
-// ShardedRefreshManager (§10) — the daemon is agnostic. Between ticks the
+// snapshot. The source is a RefreshManager at any shard count, or a
+// wrapper around one — the daemon is agnostic. Between ticks the
 // thread sleeps on a condition variable, so RequestTick() (or shutdown)
 // wakes it immediately.
 //
@@ -41,7 +41,7 @@ struct RefreshDaemonOptions {
 };
 
 /// \brief Periodic background driver of a RefreshSource (a RefreshManager
-/// or a ShardedRefreshManager). All public methods are thread-safe.
+/// or a wrapper around one). All public methods are thread-safe.
 class RefreshDaemon {
  public:
   /// \p source must outlive the daemon. The daemon is the source's single

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "histogram/parallel_build.h"
 #include "refresh/durability.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/stopwatch.h"
 
@@ -43,6 +45,23 @@ struct RefreshManager::ColumnState {
 
 namespace {
 
+// Murmur3 finalizer: a stable 32-bit mixer, so a column's apply partition
+// depends only on its id — never on registration order or the process.
+// Sequential ids spread uniformly.
+uint32_t Mix32(uint32_t x) {
+  x ^= x >> 16;
+  x *= 0x85ebca6bu;
+  x ^= x >> 13;
+  x *= 0xc2b2ae35u;
+  x ^= x >> 16;
+  return x;
+}
+
+RefreshOptions ClampShards(RefreshOptions options) {
+  options.shards = std::max<size_t>(1, options.shards);
+  return options;
+}
+
 // Sorted (value, frequency) view of the ideal tracker, positive counts
 // only — the input of both moment recomputation and rebuilds. Sorting makes
 // rebuilds deterministic regardless of hash-map iteration order.
@@ -63,10 +82,21 @@ RefreshManager::RefreshManager(Catalog* catalog, SnapshotStore* store,
                                RefreshOptions options)
     : catalog_(catalog),
       store_(store),
-      options_(options),
-      advisor_(options.staleness),
-      tuner_(options.tuning),
-      log_(options.queue_capacity) {}
+      options_(ClampShards(std::move(options))),
+      advisor_(options_.staleness),
+      tuner_(options_.tuning),
+      log_(options_.queue_capacity) {
+  if (options_.shards == 1) return;
+  shards_.reserve(options_.shards);
+  for (size_t i = 0; i < options_.shards; ++i) {
+    const telemetry::LabelSet labels{{"shard", std::to_string(i)}};
+    shards_.push_back(ApplyShard{
+        &telemetry::GetSpanSite("Refresh.ShardTick", labels),
+        telemetry::MetricRegistry::Global().GetCounter(
+            "hops_refresh_shard_deltas_total",
+            "Update records applied per refresh apply partition.", labels)});
+  }
+}
 
 RefreshManager::~RefreshManager() {
   // Unblock any producer still waiting on backpressure; records already
@@ -77,8 +107,8 @@ RefreshManager::~RefreshManager() {
 Result<RefreshColumnId> RefreshManager::RegisterColumn(
     const std::string& table, const std::string& column,
     std::span<const int64_t> value_ids, std::span<const double> frequencies) {
-  if (catalog_ == nullptr) {
-    return Status::InvalidArgument("catalog must not be null");
+  if (catalog_ == nullptr || store_ == nullptr) {
+    return Status::InvalidArgument("catalog and store must not be null");
   }
   if (value_ids.size() != frequencies.size()) {
     return Status::InvalidArgument(
@@ -165,7 +195,10 @@ Result<RefreshColumnId> RefreshManager::RegisterColumn(
     last_applied_lsn_ = std::max(last_applied_lsn_, lsn);
   }
   columns_.push_back(std::move(state));
-  by_name_.emplace(key, id);
+  {
+    std::unique_lock<std::shared_mutex> names_lock(names_mutex_);
+    by_name_.emplace(key, id);
+  }
   HOPS_RETURN_NOT_OK(WriteBackLocked(*columns_[id]));
   HOPS_RETURN_NOT_OK(RepublishLocked());
   return id;
@@ -173,7 +206,9 @@ Result<RefreshColumnId> RefreshManager::RegisterColumn(
 
 Result<RefreshColumnId> RefreshManager::Lookup(std::string_view table,
                                                std::string_view column) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  // Not mutex_: /update resolves every delta here, and a tick holds mutex_
+  // for its whole length.
+  std::shared_lock<std::shared_mutex> lock(names_mutex_);
   const auto it =
       by_name_.find(std::make_pair(std::string(table), std::string(column)));
   if (it == by_name_.end()) {
@@ -186,6 +221,10 @@ Result<RefreshColumnId> RefreshManager::Lookup(std::string_view table,
 size_t RefreshManager::num_columns() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return columns_.size();
+}
+
+size_t RefreshManager::ShardOfColumn(RefreshColumnId id) const {
+  return Mix32(id) % options_.shards;
 }
 
 void RefreshManager::FoldFeedbackLocked(ColumnState& state, double estimated,
@@ -312,14 +351,66 @@ Status RefreshManager::WriteBackLocked(ColumnState& state) {
 }
 
 Status RefreshManager::RepublishLocked() {
-  // Publication disabled: a coordinator (e.g. ShardedRefreshManager) owns
-  // the snapshot store and publishes one merged snapshot for all shards.
-  if (store_ == nullptr) return Status::OK();
   static telemetry::SpanSite& republish_site =
       telemetry::GetSpanSite("Refresh.Republish");
   telemetry::TraceSpan span(republish_site);
   HOPS_RETURN_NOT_OK(store_->RepublishFrom(*catalog_).status());
   republish_count_.Increment();
+  return Status::OK();
+}
+
+Result<size_t> RefreshManager::ApplyRecordsLocked(
+    std::span<const UpdateRecord> records) {
+  size_t applied = 0;
+  for (const UpdateRecord& record : records) {
+    if (record.column >= columns_.size()) {
+      unknown_column_records_.Increment();
+      continue;
+    }
+    HOPS_RETURN_NOT_OK(
+        ApplyDeltaLocked(*columns_[record.column], record.value, record.weight));
+    ++applied;
+  }
+  return applied;
+}
+
+Result<size_t> RefreshManager::ApplyPartitionedLocked(
+    std::span<const UpdateRecord> records) {
+  const size_t n = shards_.size();
+  std::vector<std::vector<UpdateRecord>> buckets(n);
+  for (const UpdateRecord& record : records) {
+    buckets[ShardOfColumn(record.column)].push_back(record);
+  }
+  std::vector<Result<size_t>> applied(n, size_t{0});
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(n);
+  for (size_t s = 0; s < n; ++s) {
+    if (buckets[s].empty()) continue;
+    tasks.push_back([this, s, &buckets, &applied] {
+      telemetry::TraceSpan span(*shards_[s].tick_site);
+      applied[s] = ApplyRecordsLocked(buckets[s]);
+      if (applied[s].ok() && *applied[s] > 0 && telemetry::Enabled()) {
+        shards_[s].deltas_total->Increment(*applied[s]);
+      }
+    });
+  }
+  ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
+  pool.RunBatch(tasks);
+  size_t total = 0;
+  for (const Result<size_t>& result : applied) {
+    HOPS_RETURN_NOT_OK(result.status());
+    total += *result;
+  }
+  return total;
+}
+
+Status RefreshManager::WriteBackDirtyLocked(bool* changed) {
+  for (auto& state : columns_) {
+    if (!state->dirty) continue;
+    HOPS_RETURN_NOT_OK(WriteBackLocked(*state));
+    *changed = true;
+  }
   return Status::OK();
 }
 
@@ -334,25 +425,17 @@ Result<size_t> RefreshManager::ApplyPendingDeltasLocked(bool* changed) {
   static telemetry::SpanSite& apply_site =
       telemetry::GetSpanSite("Refresh.Apply");
   telemetry::TraceSpan apply_span(apply_site);
-  size_t applied = 0;
+  // Fold every drained LSN — including unknown-column drops — so the
+  // high-water mark stays contiguous (a dropped record must not be
+  // replayed as if it were never consumed). One log means one LSN order,
+  // whatever the shard count.
   for (const UpdateRecord& record : records) {
-    // Fold every drained LSN — including unknown-column drops — so the
-    // high-water mark stays contiguous (a dropped record must not be
-    // replayed as if it were never consumed).
     last_applied_lsn_ = std::max(last_applied_lsn_, record.lsn);
-    if (record.column >= columns_.size()) {
-      unknown_column_records_.Increment();
-      continue;
-    }
-    HOPS_RETURN_NOT_OK(
-        ApplyDeltaLocked(*columns_[record.column], record.value, record.weight));
-    ++applied;
   }
-  for (auto& state : columns_) {
-    if (!state->dirty) continue;
-    HOPS_RETURN_NOT_OK(WriteBackLocked(*state));
-    if (changed != nullptr) *changed = true;
-  }
+  HOPS_ASSIGN_OR_RETURN(const size_t applied,
+                        shards_.empty() ? ApplyRecordsLocked(records)
+                                        : ApplyPartitionedLocked(records));
+  HOPS_RETURN_NOT_OK(WriteBackDirtyLocked(changed));
   return applied;
 }
 
@@ -614,24 +697,6 @@ Status RefreshManager::ForceRebuild(std::span<const RefreshColumnId> ids) {
   return Status::OK();
 }
 
-Status RefreshManager::RebuildColumns(
-    std::span<const std::pair<RefreshColumnId, RebuildReason>> picks) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<RefreshColumnId, RebuildReason>> owned;
-  owned.reserve(picks.size());
-  for (const auto& [id, reason] : picks) {
-    if (id >= columns_.size()) {
-      return Status::InvalidArgument("unknown refresh column id " +
-                                     std::to_string(id));
-    }
-    owned.push_back({id, reason});
-  }
-  bool installed = false;
-  HOPS_RETURN_NOT_OK(RebuildColumnsLocked(std::move(owned), &installed));
-  if (installed) HOPS_RETURN_NOT_OK(RepublishLocked());
-  return Status::OK();
-}
-
 Result<RefreshTickReport> RefreshManager::Tick() {
   // Each tick roots its own trace (DESIGN.md §14): ticks run on the refresh
   // daemon's thread, outside any request, so when no context is already
@@ -666,7 +731,7 @@ Result<RefreshTickReport> RefreshManager::Tick() {
     // At most one publication per tick: the apply-path and rebuild-path
     // write-backs coalesce into a single RCU swap.
     HOPS_RETURN_NOT_OK(RepublishLocked());
-    report.republished = store_ != nullptr;
+    report.republished = true;
   } else {
     // No-op tick: skip publication so readers keep their cached snapshot
     // (and the RCU epoch does not churn for nothing).
@@ -790,7 +855,10 @@ Status RefreshManager::RestoreDurableState(const RefreshDurableState& state) {
     st->rebuilds = c.rebuilds;
     const RefreshColumnId id = static_cast<RefreshColumnId>(columns_.size());
     columns_.push_back(std::move(st));
-    by_name_.emplace(key, id);
+    {
+      std::unique_lock<std::shared_mutex> names_lock(names_mutex_);
+      by_name_.emplace(key, id);
+    }
     // Moments are a deterministic function of (histogram, positive ideal
     // counts); recompute instead of persisting. For integer counts the sums
     // are exact, so a restored column scores as it did before export.
@@ -834,24 +902,16 @@ Status RefreshManager::ReplayRegistration(uint64_t lsn, RefreshColumnId id,
 Result<size_t> RefreshManager::ApplyRecoveredDeltas(
     std::span<const UpdateRecord> records) {
   std::lock_guard<std::mutex> lock(mutex_);
-  bool changed = false;
-  size_t applied = 0;
+  std::vector<UpdateRecord> fresh;
+  fresh.reserve(records.size());
   for (const UpdateRecord& record : records) {
     if (record.lsn != 0 && record.lsn <= last_applied_lsn_) continue;
     last_applied_lsn_ = std::max(last_applied_lsn_, record.lsn);
-    if (record.column >= columns_.size()) {
-      unknown_column_records_.Increment();
-      continue;
-    }
-    HOPS_RETURN_NOT_OK(
-        ApplyDeltaLocked(*columns_[record.column], record.value, record.weight));
-    ++applied;
+    fresh.push_back(record);
   }
-  for (auto& state : columns_) {
-    if (!state->dirty) continue;
-    HOPS_RETURN_NOT_OK(WriteBackLocked(*state));
-    changed = true;
-  }
+  HOPS_ASSIGN_OR_RETURN(const size_t applied, ApplyRecordsLocked(fresh));
+  bool changed = false;
+  HOPS_RETURN_NOT_OK(WriteBackDirtyLocked(&changed));
   if (changed) HOPS_RETURN_NOT_OK(RepublishLocked());
   return applied;
 }

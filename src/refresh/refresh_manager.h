@@ -23,10 +23,18 @@
 // CatalogSnapshot — readers never observe a torn catalog
 // (tests/refresh/refresh_daemon_test.cc proves it under ThreadSanitizer).
 //
+// RefreshOptions::shards splits only the apply step: a tick buckets the
+// drained records by a stable hash of their column and applies the buckets
+// in parallel on the pool. A column's histogram depends on its own
+// frequency set alone (Theorem 3.3), so buckets share nothing; every
+// decision — tuning, scoring, rebuild picks, publication — stays global,
+// and served estimates are bit-identical at every shard count.
+//
 // Thread model: producers touch only the UpdateLog's lock; readers touch
-// only the SnapshotStore; everything else (column registry, catalog,
-// moments) is guarded by one manager mutex, taken by the single maintenance
-// consumer (the daemon or a test calling Tick()) and by feedback reporters.
+// only the SnapshotStore; Lookup touches only the name index's shared
+// lock; everything else (column registry, catalog, moments) is guarded by
+// one manager mutex, taken by the single maintenance consumer (the daemon
+// or a test calling Tick()) and by feedback reporters.
 
 #pragma once
 
@@ -34,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -55,6 +64,10 @@
 
 namespace hops {
 
+namespace telemetry {
+struct SpanSite;
+}  // namespace telemetry
+
 /// \brief Knobs for the whole refresh subsystem.
 struct RefreshOptions {
   /// Per-column incremental-maintenance policy (drift thresholds).
@@ -74,7 +87,13 @@ struct RefreshOptions {
   /// with tuning off every histogram stays byte-identical to a build
   /// without the subsystem.
   SelfTuneOptions tuning;
-  /// Pool for batched rebuilds; nullptr = ThreadPool::Global().
+  /// Apply partitions (clamped to at least 1). Above 1, each tick buckets
+  /// the drained records by ShardOfColumn, keeping drain order, and applies
+  /// the buckets in parallel on the pool. Nothing else depends on it:
+  /// queue_capacity and max_rebuilds_per_tick stay totals.
+  size_t shards = 1;
+  /// Pool for batched rebuilds and partitioned applies; nullptr =
+  /// ThreadPool::Global().
   ThreadPool* pool = nullptr;
 };
 
@@ -98,13 +117,10 @@ struct ColumnStalenessReport {
 /// refresh/refresh_source.h with the RefreshSource driver contract.
 class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
  public:
-  /// \p catalog must be non-null and outlive the manager; the manager
-  /// assumes mutation authority over it (external writers must not mutate
-  /// the catalog concurrently with Tick — the Catalog is thread-compatible).
-  /// \p store may be null: publication is then disabled entirely
-  /// (republish_count stays 0) and some coordinator owns snapshot
-  /// publication — this is how ShardedRefreshManager embeds one manager per
-  /// shard while still publishing a single merged snapshot per tick.
+  /// \p catalog and \p store must be non-null and outlive the manager; the
+  /// manager assumes mutation authority over the catalog (external writers
+  /// must not mutate it concurrently with Tick — the Catalog is
+  /// thread-compatible) and is the store's only publisher.
   RefreshManager(Catalog* catalog, SnapshotStore* store,
                  RefreshOptions options = {});
 
@@ -126,11 +142,16 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
                                          std::span<const int64_t> value_ids,
                                          std::span<const double> frequencies);
 
-  /// Resolves a registered (table, column); NotFound when absent.
+  /// Resolves a registered (table, column); NotFound when absent. Takes
+  /// only the name index's shared lock, so it never waits for a tick.
   Result<RefreshColumnId> Lookup(std::string_view table,
                                  std::string_view column) const;
 
   size_t num_columns() const;
+
+  /// The apply partition that owns \p id (a stable hash of the id; always
+  /// 0 at shards = 1).
+  size_t ShardOfColumn(RefreshColumnId id) const;
 
   /// The options the manager was constructed with (e.g. the histogram
   /// class rebuilds use — surfaced by GET /debug/columns).
@@ -226,9 +247,9 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
 
   /// Drains buffered predicate feedback into in-place tuning adjustments
   /// (refresh/self_tuner.h) and decays the tuning-recency relief signal;
-  /// republishes when anything changed (and a store is attached). No-op
-  /// with tuning disabled. Returns whether any column mutated. Tick calls
-  /// this internally; ShardedRefreshManager drives it per shard.
+  /// republishes when anything changed. No-op with tuning disabled.
+  /// Returns whether any column mutated. Tick runs the same pass between
+  /// apply and scoring; benches call it directly to time tuning alone.
   Result<bool> TuneColumns();
 
   /// Scores every column (no mutation). Sorted worst-first.
@@ -246,14 +267,6 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
 
   /// Unconditionally rebuilds \p ids (counted as RebuildReason::kForced).
   Status ForceRebuild(std::span<const RefreshColumnId> ids);
-
-  /// Rebuilds exactly \p picks with the given reason attribution (the
-  /// coordinator-facing sibling of RebuildIfStale: ShardedRefreshManager
-  /// scores globally, budgets per shard, then hands each shard its picks).
-  /// InvalidArgument on unknown ids; publishes once when anything was
-  /// installed (and a store is attached).
-  Status RebuildColumns(
-      std::span<const std::pair<RefreshColumnId, RebuildReason>> picks);
 
   /// One full maintenance cycle: ApplyPendingDeltas + RebuildIfStale under
   /// a single lock acquisition, publishing **at most one** snapshot — a
@@ -274,6 +287,17 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
 
   // All Lock* helpers require mutex_ held.
   Status ApplyDeltaLocked(ColumnState& state, int64_t value, double weight);
+  /// Applies \p records in order, counting and dropping unknown column ids;
+  /// returns the number applied. Touches only the columns the records name
+  /// (plus thread-safe counters), so a tick runs disjoint column buckets
+  /// of it concurrently on the pool.
+  Result<size_t> ApplyRecordsLocked(std::span<const UpdateRecord> records);
+  /// shards > 1: buckets \p records by ShardOfColumn, keeping drain order,
+  /// and runs ApplyRecordsLocked per bucket on the pool.
+  Result<size_t> ApplyPartitionedLocked(std::span<const UpdateRecord> records);
+  /// Writes every dirty column back to the catalog; sets \p *changed when
+  /// any was written.
+  Status WriteBackDirtyLocked(bool* changed);
   /// Drain + apply + catalog write-back; no publication. Sets \p *changed
   /// when any column's statistics were written back.
   Result<size_t> ApplyPendingDeltasLocked(bool* changed);
@@ -294,7 +318,7 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   /// (the relative error is clamped so one absurd report cannot saturate
   /// the signal forever).
   void FoldFeedbackLocked(ColumnState& state, double estimated, double actual);
-  /// Publishes the catalog through the store; no-op when store_ == nullptr.
+  /// Publishes the catalog through the store.
   Status RepublishLocked();
   StalenessScore ScoreLocked(const ColumnState& state) const;
   void RecomputeMomentsLocked(ColumnState& state);
@@ -308,7 +332,19 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<ColumnState>> columns_;
+  // The name index has its own lock so Lookup never waits for a tick.
+  // Writers hold mutex_ AND names_mutex_ (exclusive) while inserting;
+  // readers hold either one (Lookup: names_mutex_ shared; the feedback
+  // paths: mutex_).
+  mutable std::shared_mutex names_mutex_;
   std::map<std::pair<std::string, std::string>, RefreshColumnId> by_name_;
+  // Per-partition telemetry, one entry per shard when shards > 1 (empty at
+  // shards = 1, where the apply runs inline with no extra spans).
+  struct ApplyShard {
+    telemetry::SpanSite* tick_site;  // Refresh.ShardTick{shard="<i>"}
+    telemetry::Counter* deltas_total;  // hops_refresh_shard_deltas_total
+  };
+  std::vector<ApplyShard> shards_;
   // Counters come from the telemetry metrics core (DESIGN.md §9, one
   // counter implementation across the codebase). Per-manager instances so
   // stats() stays per-instance exact; incremented under mutex_ (they are

@@ -1,11 +1,10 @@
-// The driver-facing face of a refresh consumer (DESIGN.md §8/§10).
+// The daemon-facing side of a refresh consumer (DESIGN.md §8).
 //
-// The RefreshDaemon does not care whether its ticks land on one
-// RefreshManager (§8, single consumer) or on a ShardedRefreshManager (§10,
-// N shard workers coordinated into one publication): both expose the same
-// two-method contract — "run one maintenance cycle" and "how much ingest is
-// still queued" (the daemon's DrainAndStop exit condition). RefreshSource
-// is that contract.
+// The RefreshDaemon needs two things from whatever it ticks: "run one
+// maintenance cycle" and "how much ingest is still queued" (the daemon's
+// DrainAndStop exit condition). RefreshSource is that contract.
+// RefreshManager implements it; a wrapper can interpose on it (e.g. to time
+// or log every tick) without the daemon knowing.
 
 #pragma once
 
@@ -30,10 +29,9 @@ struct RefreshTickReport {
   double seconds = 0;
 };
 
-/// \brief A tickable refresh consumer. Implementations: RefreshManager
-/// (one drain/score/rebuild loop) and ShardedRefreshManager (N of them,
-/// one merged publication). Single-consumer: call Tick from one thread at
-/// a time; pending_update_records is thread-safe.
+/// \brief A tickable refresh consumer (RefreshManager, or a wrapper around
+/// one). Single-consumer: call Tick from one thread at a time;
+/// pending_update_records is thread-safe.
 class RefreshSource {
  public:
   virtual ~RefreshSource() = default;

@@ -1,7 +1,6 @@
 #include "refresh/staleness.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "histogram/serialization.h"
 
@@ -47,66 +46,6 @@ const char* RebuildReasonToString(RebuildReason reason) {
       return "forced";
   }
   return "unknown";
-}
-
-std::vector<size_t> AllocateRebuildBudget(std::span<const double> shard_heat,
-                                          std::span<const size_t> shard_demand,
-                                          size_t total_budget) {
-  const size_t n = std::min(shard_heat.size(), shard_demand.size());
-  std::vector<size_t> grants(n, 0);
-  if (n == 0 || total_budget == 0) return grants;
-
-  size_t total_demand = 0;
-  for (size_t i = 0; i < n; ++i) total_demand += shard_demand[i];
-  if (total_demand <= total_budget) {
-    // No pressure: every shard rebuilds everything it wants.
-    for (size_t i = 0; i < n; ++i) grants[i] = shard_demand[i];
-    return grants;
-  }
-
-  // Under pressure: heat-proportional shares with largest-remainder
-  // apportionment, capped by demand. Zero total heat falls back to
-  // demand-proportional so cold-but-backlogged shards are not starved.
-  double heat_sum = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (shard_demand[i] > 0 && shard_heat[i] > 0) heat_sum += shard_heat[i];
-  }
-  std::vector<double> share(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    if (shard_demand[i] == 0) continue;
-    const double weight =
-        heat_sum > 0 ? std::max(0.0, shard_heat[i]) / heat_sum
-                     : static_cast<double>(shard_demand[i]) /
-                           static_cast<double>(total_demand);
-    share[i] = weight * static_cast<double>(total_budget);
-  }
-
-  size_t granted = 0;
-  for (size_t i = 0; i < n; ++i) {
-    grants[i] = std::min(shard_demand[i], static_cast<size_t>(share[i]));
-    granted += grants[i];
-  }
-  // Hand out the leftover slots by largest fractional remainder (ties to
-  // the lower index — deterministic); shards at their demand cap drop out.
-  // The sentinel must be -inf, not a finite value: a shard granted past its
-  // floored share has remainder < -1 but still deserves spilled surplus
-  // whenever its demand is unmet (demand caps the grant, not the share).
-  while (granted < total_budget) {
-    size_t best = n;
-    double best_remainder = -std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      if (grants[i] >= shard_demand[i]) continue;
-      const double remainder = share[i] - static_cast<double>(grants[i]);
-      if (remainder > best_remainder) {
-        best_remainder = remainder;
-        best = i;
-      }
-    }
-    if (best == n) break;  // every shard satisfied
-    ++grants[best];
-    ++granted;
-  }
-  return grants;
 }
 
 StalenessScore StalenessAdvisor::Score(const StalenessSignals& signals) const {

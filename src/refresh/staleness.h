@@ -38,7 +38,6 @@
 #include <cstdint>
 #include <span>
 #include <utility>
-#include <vector>
 
 namespace hops {
 
@@ -136,26 +135,6 @@ struct StalenessScore {
   /// Dominant weighted component when rebuild_recommended (kNone otherwise).
   RebuildReason reason = RebuildReason::kNone;
 };
-
-/// \brief Joint (cross-shard) rebuild budgeting — the DESIGN.md §10 half of
-/// the staleness policy. Splits \p total_budget rebuild slots across shards
-/// in proportion to \p shard_heat (how stale/hot each shard's relations are
-/// under the joint staleness signal), capped by \p shard_demand (how many
-/// rebuild-recommended columns the shard actually has). Guarantees:
-///   - result[i] <= shard_demand[i] and sum(result) <= total_budget;
-///   - when sum(demand) <= total_budget every shard gets its full demand
-///     (budgeting only bites under pressure);
-///   - under pressure, slots go by largest-remainder apportionment of
-///     heat-proportional shares (floors first, leftovers by fractional
-///     remainder, ties to the lower shard index — deterministic);
-///   - a shard with zero heat but positive demand can still win leftover
-///     slots only after every positive-heat shard's share is satisfied;
-///     when ALL heat is zero the split falls back to demand-proportional,
-///     so FIFO starvation cannot happen.
-/// Pure function: both spans must have equal length.
-std::vector<size_t> AllocateRebuildBudget(std::span<const double> shard_heat,
-                                          std::span<const size_t> shard_demand,
-                                          size_t total_budget);
 
 /// \brief Stateless policy object turning signals into a score + verdict.
 class StalenessAdvisor {

@@ -20,10 +20,9 @@
 // segments covered by the OLDEST retained snapshot — falling back past a
 // corrupt newest snapshot therefore never needs retired records.
 //
-// The ShardedRefreshManager is NOT yet covered: it owns per-shard managers
-// with independent queues; persisting it needs per-shard WAL streams and a
-// snapshot barrier across shards (ROADMAP). Single-manager stacks — the
-// serving example and the ServingStack — are fully supported.
+// Every RefreshOptions::shards value is covered: shards only partition the
+// apply step, so there is one UpdateLog, one LSN order and one high-water
+// mark, and an image written at one shard count recovers at any other.
 
 #pragma once
 

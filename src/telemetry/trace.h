@@ -67,7 +67,7 @@ SpanSite& GetSpanSite(std::string_view name,
                       MetricRegistry* registry = &MetricRegistry::Global());
 
 /// \brief Labeled variant: the site's metric families carry
-/// {span="<name>"} plus \p extra_labels — e.g. the §10 sharded refresh
+/// {span="<name>"} plus \p extra_labels — e.g. the §8 partitioned apply
 /// instruments Refresh.ShardTick once per shard with {shard="<i>"}, so
 /// per-shard latency splits out in the exporters with no extra plumbing.
 /// Sites are keyed by (registry, name, extra_labels); cardinality is the

@@ -249,97 +249,6 @@ TEST(SnapshotStoreTest, RepublishVersionsAreMonotoneUnderMutation) {
   }
 }
 
-// ------------------------- multi-source compilation (DESIGN.md §10 merging)
-
-TEST(CatalogSnapshotTest, CompileMergedUnionsDisjointCatalogs) {
-  Catalog left;
-  left.PutColumnStatistics("orders", "customer_id",
-                           MakeStats(100.0, {{1, 30.0}, {2, 20.0}}, 6.25, 8))
-      .Check();
-  Catalog right;
-  right
-      .PutColumnStatistics("customers", "id",
-                           MakeStats(50.0, {{1, 1.0}, {2, 1.0}}, 1.0, 48))
-      .Check();
-  right.PutColumnStatistics("orders", "status",
-                            MakeStats(100.0, {{0, 90.0}}, 10.0, 1))
-      .Check();
-
-  const Catalog* sources[] = {&left, &right};
-  auto merged = CatalogSnapshot::CompileMerged(sources);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ((*merged)->num_columns(), 3u);
-  // source_version is the SUM of the source versions: any source moving
-  // moves the merged version, so staleness detection still works.
-  EXPECT_EQ((*merged)->source_version(), left.version() + right.version());
-  for (const char* name : {"customer_id", "status"}) {
-    EXPECT_TRUE((*merged)->Contains("orders", name));
-  }
-  auto id = (*merged)->Resolve("customers", "id");
-  ASSERT_TRUE(id.ok());
-  EXPECT_DOUBLE_EQ((*merged)->stats(*id).num_tuples, 50.0);
-}
-
-TEST(CatalogSnapshotTest, CompileMergedOfOneCatalogIsCompile) {
-  // The shards = 1 degeneracy the sharded refresh manager relies on.
-  Catalog catalog = SmallCatalog();
-  const Catalog* sources[] = {&catalog};
-  auto merged = CatalogSnapshot::CompileMerged(sources);
-  auto plain = CatalogSnapshot::Compile(catalog);
-  ASSERT_TRUE(merged.ok());
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ((*merged)->num_columns(), (*plain)->num_columns());
-  EXPECT_EQ((*merged)->source_version(), (*plain)->source_version());
-  auto merged_id = (*merged)->Resolve("orders", "customer_id");
-  auto plain_id = (*plain)->Resolve("orders", "customer_id");
-  ASSERT_TRUE(merged_id.ok());
-  ASSERT_TRUE(plain_id.ok());
-  EXPECT_EQ((*merged)->stats(*merged_id).histogram->LookupFrequency(1),
-            (*plain)->stats(*plain_id).histogram->LookupFrequency(1));
-}
-
-TEST(CatalogSnapshotTest, CompileMergedRejectsDuplicatesAndNulls) {
-  Catalog a = SmallCatalog();
-  Catalog b;
-  b.PutColumnStatistics("orders", "customer_id",  // duplicate key across sources
-                        MakeStats(7.0, {{1, 7.0}}, 0.0, 0))
-      .Check();
-  const Catalog* duplicate[] = {&a, &b};
-  EXPECT_TRUE(CatalogSnapshot::CompileMerged(duplicate)
-                  .status()
-                  .IsInvalidArgument());
-
-  const Catalog* with_null[] = {&a, nullptr};
-  EXPECT_TRUE(CatalogSnapshot::CompileMerged(with_null)
-                  .status()
-                  .IsInvalidArgument());
-
-  // Zero sources compile to a valid empty snapshot.
-  auto empty = CatalogSnapshot::CompileMerged({});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ((*empty)->num_columns(), 0u);
-  EXPECT_EQ((*empty)->source_version(), 0u);
-}
-
-TEST(SnapshotStoreTest, RepublishFromMergedPublishesOneSnapshot) {
-  Catalog left;
-  left.PutColumnStatistics("fact", "key",
-                           MakeStats(10.0, {{1, 10.0}}, 0.0, 0))
-      .Check();
-  Catalog right;
-  right.PutColumnStatistics("dim", "key", MakeStats(5.0, {{1, 5.0}}, 0.0, 0))
-      .Check();
-  SnapshotStore store;
-  const Catalog* sources[] = {&left, &right};
-  auto published = store.RepublishFromMerged(sources);
-  ASSERT_TRUE(published.ok());
-  EXPECT_EQ(store.Current(), *published);
-  EXPECT_TRUE(store.Current()->Contains("fact", "key"));
-  EXPECT_TRUE(store.Current()->Contains("dim", "key"));
-  EXPECT_EQ(store.Current()->source_version(),
-            left.version() + right.version());
-}
-
 }  // namespace
 }  // namespace hops
 

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <limits>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "estimator/serving.h"
+#include "refresh/durability.h"
 #include "stats/zipf.h"
 #include "telemetry/metrics.h"
 
@@ -638,51 +642,59 @@ TEST(RefreshManagerTest, NoOpTickSkipsPublication) {
   }
 }
 
-// Null-store mode: the embedding coordinator (ShardedRefreshManager) owns
-// publication, so the per-shard pipeline applies and rebuilds but never
-// touches a SnapshotStore.
-TEST(RefreshManagerTest, NullStoreDisablesPublication) {
-  Catalog catalog;
-  RefreshOptions options;
-  options.maintenance.rebuild_drift_fraction = 0.05;
-  RefreshManager manager(&catalog, /*store=*/nullptr, options);
-  auto id = RegisterSkewed(&manager, "orders", "customer_id");
-  ASSERT_TRUE(id.ok());
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(manager.RecordInsert(*id, 5).ok());
+// A DurabilityHook whose registration write parks until released, so a
+// test can hold RegisterColumn — and with it the manager mutex — open.
+class BlockingRegistrationHook final : public DurabilityHook {
+ public:
+  Status PersistDeltas(std::span<UpdateRecord>) override {
+    return Status::OK();
   }
-  auto busy = manager.Tick();
-  ASSERT_TRUE(busy.ok());
-  EXPECT_EQ(busy->deltas_applied, 60u);
-  EXPECT_TRUE(busy->changed);        // the catalog moved...
-  EXPECT_FALSE(busy->republished);   // ...but nothing was published
-  EXPECT_EQ(manager.stats().republish_count, 0u);
-  // The catalog itself carries the maintained statistics regardless.
-  auto stats = catalog.GetColumnStatistics("orders", "customer_id");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_DOUBLE_EQ(stats->num_tuples, 400.0 + 200.0 + 18 * 10.0 + 60.0);
-}
+  Status PersistRegistration(RefreshColumnId, const std::string&,
+                             const std::string&, std::span<const int64_t>,
+                             std::span<const double>,
+                             uint64_t* lsn_out) override {
+    *lsn_out = 0;
+    entered_.set_value();
+    release_.get_future().wait();
+    return Status::OK();
+  }
+  void WaitUntilEntered() { entered_.get_future().wait(); }
+  void Release() { release_.set_value(); }
 
-TEST(RefreshManagerTest, RebuildColumnsAttributesReasonsAndPublishesOnce) {
+ private:
+  std::promise<void> entered_;
+  std::promise<void> release_;
+};
+
+// /update resolves every delta through Lookup. Lookup reads the name index
+// under its own lock, so it answers while another thread holds the
+// manager mutex (here: a registration parked in its durability write; in
+// production: a tick).
+TEST(RefreshManagerTest, LookupDoesNotWaitForTheManagerMutex) {
   Fixture f;
   RefreshManager manager(&f.catalog, &f.store);
-  auto a = RegisterSkewed(&manager, "t", "a");
-  auto b = RegisterSkewed(&manager, "t", "b");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  const uint64_t republish_before = manager.stats().republish_count;
-  std::vector<std::pair<RefreshColumnId, RebuildReason>> picks = {
-      {*a, RebuildReason::kFeedback}, {*b, RebuildReason::kSelfJoin}};
-  ASSERT_TRUE(manager.RebuildColumns(picks).ok());
-  RefreshStats stats = manager.stats();
-  EXPECT_EQ(stats.rebuilds_feedback, 1u);
-  EXPECT_EQ(stats.rebuilds_self_join, 1u);
-  EXPECT_EQ(stats.rebuilds_total, 2u);
-  EXPECT_EQ(stats.republish_count, republish_before + 1);  // one swap
+  auto id = RegisterSkewed(&manager, "orders", "customer_id");
+  ASSERT_TRUE(id.ok());
 
-  std::vector<std::pair<RefreshColumnId, RebuildReason>> bad = {
-      {42, RebuildReason::kForced}};
-  EXPECT_TRUE(manager.RebuildColumns(bad).IsInvalidArgument());
+  BlockingRegistrationHook hook;
+  manager.AttachDurability(&hook);
+  std::thread registrar(
+      [&] { EXPECT_TRUE(RegisterSkewed(&manager, "orders", "item_id").ok()); });
+  hook.WaitUntilEntered();
+
+  std::future<Result<RefreshColumnId>> looked_up = std::async(
+      std::launch::async, [&] { return manager.Lookup("orders", "customer_id"); });
+  const std::future_status status =
+      looked_up.wait_for(std::chrono::seconds(2));
+  hook.Release();
+  registrar.join();
+  ASSERT_EQ(status, std::future_status::ready)
+      << "Lookup waited on the manager mutex";
+  Result<RefreshColumnId> result = looked_up.get();
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(*result, *id);
+  manager.AttachDurability(nullptr);
+  EXPECT_TRUE(manager.Lookup("orders", "item_id").ok());
 }
 
 TEST(RefreshManagerTest, DeleteOfUntrackedValueIsDriftOnly) {

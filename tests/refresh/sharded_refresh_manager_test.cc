@@ -1,18 +1,18 @@
-// ShardedRefreshManager (DESIGN.md §10): hash routing, global id
-// registration, per-shard write paths, joint staleness budgeting, and the
-// single-publication-per-tick contract. The shards=1 identity test pins the
-// headline guarantee: one shard reproduces RefreshManager behavior exactly,
-// down to bit-identical published estimates.
-
-#include "refresh/sharded_refresh_manager.h"
+// RefreshManager with RefreshOptions::shards > 1 (DESIGN.md §8 "Apply
+// partitions"): shards split only each tick's apply step, so registration,
+// ids, feedback, rebuild picks and publication behave exactly as at one
+// shard. The identity test pins the headline guarantee: the shard count
+// changes no tick report, no counter and no estimate bit.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "estimator/serving.h"
+#include "refresh/refresh_manager.h"
 #include "stats/zipf.h"
 #include "telemetry/metrics.h"
 
@@ -29,7 +29,7 @@ std::vector<int64_t> TailValues(int64_t first, size_t count) {
 }
 
 // Values 1..20: value 1 -> 400, value 2 -> 200, values 3..20 -> 10 each.
-Result<RefreshColumnId> RegisterSkewed(ShardedRefreshManager* manager,
+Result<RefreshColumnId> RegisterSkewed(RefreshManager* manager,
                                        const std::string& table,
                                        const std::string& column) {
   std::vector<int64_t> values = TailValues(1, 20);
@@ -41,32 +41,42 @@ Result<RefreshColumnId> RegisterSkewed(ShardedRefreshManager* manager,
 
 constexpr double kSkewedMass = 400.0 + 200.0 + 18 * 10.0;
 
-TEST(ShardedRefreshManagerTest, ShardsClampToAtLeastOne) {
+RefreshOptions WithShards(size_t shards) {
+  RefreshOptions options;
+  options.shards = shards;
+  return options;
+}
+
+// One manager with the catalog and store it publishes through.
+struct Rig {
+  explicit Rig(const RefreshOptions& options)
+      : manager(&catalog, &store, options) {}
+  Catalog catalog;
   SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 0;
-  ShardedRefreshManager manager(&store, options);
-  EXPECT_EQ(manager.shards(), 1u);
+  RefreshManager manager;
+};
+
+TEST(ShardedRefreshManagerTest, ShardsClampToAtLeastOne) {
+  Rig rig(WithShards(0));
+  EXPECT_EQ(rig.manager.options().shards, 1u);
+  EXPECT_EQ(rig.manager.ShardOfColumn(7), 0u);
 }
 
 TEST(ShardedRefreshManagerTest, RegisterLookupAndPublishAcrossShards) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 3;
-  ShardedRefreshManager manager(&store, options);
-  EXPECT_EQ(manager.shards(), 3u);
+  Rig rig(WithShards(3));
+  RefreshManager& manager = rig.manager;
 
   std::vector<RefreshColumnId> ids;
   for (int c = 0; c < 6; ++c) {
     auto id = RegisterSkewed(&manager, "t" + std::to_string(c % 2),
                              "col" + std::to_string(c));
     ASSERT_TRUE(id.ok());
-    EXPECT_EQ(*id, static_cast<RefreshColumnId>(c));  // dense global ids
+    EXPECT_EQ(*id, static_cast<RefreshColumnId>(c));  // dense ids
     ids.push_back(*id);
   }
   EXPECT_EQ(manager.num_columns(), 6u);
 
-  // Lookup round-trips every global id, regardless of owning shard.
+  // Lookup round-trips every id, regardless of its apply partition.
   for (int c = 0; c < 6; ++c) {
     auto looked_up =
         manager.Lookup("t" + std::to_string(c % 2), "col" + std::to_string(c));
@@ -75,19 +85,15 @@ TEST(ShardedRefreshManagerTest, RegisterLookupAndPublishAcrossShards) {
   }
   EXPECT_TRUE(manager.Lookup("t0", "missing").status().IsNotFound());
 
-  // The published snapshot merges every shard's catalog.
-  auto snapshot = store.Current();
+  // The published snapshot holds every column.
+  auto snapshot = rig.store.Current();
   for (int c = 0; c < 6; ++c) {
     EXPECT_TRUE(snapshot->Contains("t" + std::to_string(c % 2),
                                    "col" + std::to_string(c)));
   }
 
-  // Duplicate registration is rejected globally, not just on the shard the
-  // new id would hash to.
   EXPECT_TRUE(
       RegisterSkewed(&manager, "t0", "col0").status().IsAlreadyExists());
-
-  // Malformed input is rejected by the owning shard's validation.
   std::vector<int64_t> values = {1, 2};
   std::vector<double> short_freqs = {1.0};
   EXPECT_TRUE(manager.RegisterColumn("t9", "bad", values, short_freqs)
@@ -95,11 +101,21 @@ TEST(ShardedRefreshManagerTest, RegisterLookupAndPublishAcrossShards) {
                   .IsInvalidArgument());
 }
 
+uint64_t ShardDeltasTotal(size_t shard) {
+  return telemetry::MetricRegistry::Global()
+      .GetCounter("hops_refresh_shard_deltas_total",
+                  "Update records applied per refresh apply partition.",
+                  telemetry::LabelSet{{"shard", std::to_string(shard)}})
+      ->Value();
+}
+
+// There is one log; a shard's "log" is its bucket of each drain. Every
+// record waits in the one queue, then is applied — and counted — by the
+// partition its column hashes to.
 TEST(ShardedRefreshManagerTest, RecordsRouteToTheOwningShardLog) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 4;
-  ShardedRefreshManager manager(&store, options);
+  telemetry::SetEnabled(true);
+  Rig rig(WithShards(4));
+  RefreshManager& manager = rig.manager;
 
   std::vector<RefreshColumnId> ids;
   for (int c = 0; c < 8; ++c) {
@@ -108,33 +124,31 @@ TEST(ShardedRefreshManagerTest, RecordsRouteToTheOwningShardLog) {
     ids.push_back(*id);
   }
 
-  std::vector<size_t> expected_depth(manager.shards(), 0);
+  std::vector<uint64_t> before(4), expected(4, 0);
+  for (size_t s = 0; s < 4; ++s) before[s] = ShardDeltasTotal(s);
   for (RefreshColumnId id : ids) {
     ASSERT_TRUE(manager.RecordInsert(id, 1).ok());
     ASSERT_TRUE(manager.RecordDelete(id, 3).ok());
-    expected_depth[manager.ShardOfColumn(id)] += 2;
+    expected[manager.ShardOfColumn(id)] += 2;
   }
-  size_t total = 0;
-  for (size_t s = 0; s < manager.shards(); ++s) {
-    EXPECT_EQ(manager.update_log(s).depth(), expected_depth[s]) << "shard "
-                                                                << s;
-    total += expected_depth[s];
-  }
-  EXPECT_EQ(manager.pending_update_records(), total);
+  EXPECT_EQ(manager.update_log().depth(), 2 * ids.size());
+  EXPECT_EQ(manager.pending_update_records(), 2 * ids.size());
 
-  // One tick drains every shard and applies everything.
+  // One tick drains the log and applies everything, each record in its
+  // owner's partition.
   auto report = manager.Tick();
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->deltas_applied, total);
+  EXPECT_EQ(report->deltas_applied, 2 * ids.size());
   EXPECT_EQ(manager.pending_update_records(), 0u);
-  EXPECT_EQ(manager.stats().total.deltas_applied, total);
+  EXPECT_EQ(manager.stats().deltas_applied, 2 * ids.size());
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(ShardDeltasTotal(s) - before[s], expected[s]) << "shard " << s;
+  }
 }
 
 TEST(ShardedRefreshManagerTest, RecordBatchRoutesAndAppliesByShard) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 2;
-  ShardedRefreshManager manager(&store, options);
+  Rig rig(WithShards(2));
+  RefreshManager& manager = rig.manager;
   auto a = RegisterSkewed(&manager, "t", "a");
   auto b = RegisterSkewed(&manager, "t", "b");
   ASSERT_TRUE(a.ok());
@@ -151,8 +165,8 @@ TEST(ShardedRefreshManagerTest, RecordBatchRoutesAndAppliesByShard) {
   EXPECT_EQ(report->deltas_applied, 4u);
 
   // Published statistics reflect the weighted folds on both columns: the
-  // routing preserved values and weights.
-  auto snapshot = store.Current();
+  // partitioned apply preserved values and weights.
+  auto snapshot = rig.store.Current();
   auto col_a = snapshot->Resolve("t", "a");
   auto col_b = snapshot->Resolve("t", "b");
   ASSERT_TRUE(col_a.ok());
@@ -162,13 +176,11 @@ TEST(ShardedRefreshManagerTest, RecordBatchRoutesAndAppliesByShard) {
 }
 
 TEST(ShardedRefreshManagerTest, UnknownIdsAreCountedByTheHashOwnerShard) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 2;
-  ShardedRefreshManager manager(&store, options);
+  Rig rig(WithShards(2));
+  RefreshManager& manager = rig.manager;
   ASSERT_TRUE(RegisterSkewed(&manager, "t", "a").ok());
 
-  // Ids are validated at apply time, exactly like RefreshManager.
+  // Ids are validated at apply time, in whichever bucket they hash to.
   ASSERT_TRUE(manager.RecordInsert(999, 1).ok());
   std::vector<UpdateRecord> batch = {UpdateRecord{12345, 7, +1.0}};
   ASSERT_TRUE(manager.RecordBatch(batch).ok());
@@ -176,54 +188,44 @@ TEST(ShardedRefreshManagerTest, UnknownIdsAreCountedByTheHashOwnerShard) {
   auto report = manager.Tick();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->deltas_applied, 0u);
-  EXPECT_EQ(manager.stats().total.unknown_column_records, 2u);
+  EXPECT_EQ(manager.stats().unknown_column_records, 2u);
 }
 
 TEST(ShardedRefreshManagerTest, TickSkipsPublicationWhenNothingChanged) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 2;
-  ShardedRefreshManager manager(&store, options);
+  Rig rig(WithShards(2));
+  RefreshManager& manager = rig.manager;
   auto id = RegisterSkewed(&manager, "orders", "customer_id");
   ASSERT_TRUE(id.ok());
-  const uint64_t version_after_register = store.Current()->source_version();
+  const uint64_t version_after_register = rig.store.Current()->source_version();
 
   // Idle tick: no publication, no RCU churn.
   auto idle = manager.Tick();
   ASSERT_TRUE(idle.ok());
   EXPECT_FALSE(idle->changed);
   EXPECT_FALSE(idle->republished);
-  EXPECT_EQ(store.Current()->source_version(), version_after_register);
+  EXPECT_EQ(rig.store.Current()->source_version(), version_after_register);
 
   // Busy tick: exactly one publication covering apply + rebuild.
   for (int i = 0; i < 60; ++i) {
     ASSERT_TRUE(manager.RecordInsert(*id, 5).ok());
   }
-  const uint64_t republish_before = manager.stats().total.republish_count;
+  const uint64_t republish_before = manager.stats().republish_count;
   auto busy = manager.Tick();
   ASSERT_TRUE(busy.ok());
   EXPECT_TRUE(busy->changed);
   EXPECT_TRUE(busy->republished);
   EXPECT_EQ(busy->deltas_applied, 60u);
-  EXPECT_EQ(manager.stats().total.republish_count, republish_before + 1);
+  EXPECT_EQ(manager.stats().republish_count, republish_before + 1);
 
-  ShardedRefreshStats stats = manager.stats();
-  EXPECT_EQ(stats.total.ticks, 2u);
-  EXPECT_EQ(stats.total.ticks_skipped, 1u);
-  EXPECT_EQ(stats.shards, 2u);
-  ASSERT_EQ(stats.per_shard.size(), 2u);
-  // Shard pipelines never publish on their own; the coordinator owns both
-  // the tick counter and the publication.
-  for (const RefreshStats& s : stats.per_shard) {
-    EXPECT_EQ(s.republish_count, 0u);
-    EXPECT_EQ(s.ticks, 0u);
-  }
+  RefreshStats stats = manager.stats();
+  EXPECT_EQ(stats.ticks, 2u);
+  EXPECT_EQ(stats.ticks_skipped, 1u);
 }
 
 // Idle ticks over columns whose fresh builds already score at or above
 // the rebuild threshold (Zipf(0.5) over 1000 values, β = 16): a rebuild
-// would reproduce each histogram, so no shard demands one and no tick
-// publishes — at any shard count.
+// would reproduce each histogram, so no tick rebuilds or publishes — at
+// any shard count.
 TEST(ShardedRefreshManagerTest, IdleTicksNeverRebuildUnchangedColumns) {
   ZipfParams params;
   params.total = 100000.0;
@@ -234,24 +236,22 @@ TEST(ShardedRefreshManagerTest, IdleTicksNeverRebuildUnchangedColumns) {
   const std::vector<int64_t> values = TailValues(1, params.num_values);
   for (const size_t shards : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    SnapshotStore store;
-    ShardedRefreshOptions options;
-    options.shards = shards;
-    options.refresh.statistics.num_buckets = 16;
-    ShardedRefreshManager manager(&store, options);
+    RefreshOptions options = WithShards(shards);
+    options.statistics.num_buckets = 16;
+    Rig rig(options);
+    RefreshManager& manager = rig.manager;
     for (int c = 0; c < 8; ++c) {
       ASSERT_TRUE(
           manager.RegisterColumn("t", "col" + std::to_string(c), values, *freqs)
               .ok());
     }
     for (const ColumnStalenessReport& report : manager.ScoreColumns()) {
-      ASSERT_GE(report.score.total,
-                options.refresh.staleness.rebuild_score_threshold);
+      ASSERT_GE(report.score.total, options.staleness.rebuild_score_threshold);
       EXPECT_TRUE(report.score.signals.unchanged_since_build);
       EXPECT_FALSE(report.score.rebuild_recommended);
     }
-    const auto snapshot_before = store.Current();
-    const uint64_t republish_before = manager.stats().total.republish_count;
+    const auto snapshot_before = rig.store.Current();
+    const uint64_t republish_before = manager.stats().republish_count;
 
     constexpr uint64_t kTicks = 10;
     for (uint64_t t = 0; t < kTicks; ++t) {
@@ -260,62 +260,43 @@ TEST(ShardedRefreshManagerTest, IdleTicksNeverRebuildUnchangedColumns) {
       EXPECT_EQ(report->columns_rebuilt, 0u);
       EXPECT_FALSE(report->republished);
     }
-    ShardedRefreshStats stats = manager.stats();
-    EXPECT_EQ(stats.total.ticks, kTicks);
-    EXPECT_EQ(stats.total.ticks_skipped, kTicks);
-    EXPECT_EQ(stats.total.rebuilds_total, 0u);
-    EXPECT_EQ(stats.total.republish_count, republish_before);
-    EXPECT_EQ(store.Current().get(), snapshot_before.get());
+    RefreshStats stats = manager.stats();
+    EXPECT_EQ(stats.ticks, kTicks);
+    EXPECT_EQ(stats.ticks_skipped, kTicks);
+    EXPECT_EQ(stats.rebuilds_total, 0u);
+    EXPECT_EQ(stats.republish_count, republish_before);
+    EXPECT_EQ(rig.store.Current().get(), snapshot_before.get());
   }
-}
-
-TEST(ShardedRefreshManagerTest, NullStoreDisablesPublication) {
-  ShardedRefreshOptions options;
-  options.shards = 2;
-  ShardedRefreshManager manager(/*store=*/nullptr, options);
-  auto id = RegisterSkewed(&manager, "t", "a");
-  ASSERT_TRUE(id.ok());
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(manager.RecordInsert(*id, 5).ok());
-  }
-  auto report = manager.Tick();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->changed);          // the catalogs did move...
-  EXPECT_FALSE(report->republished);     // ...but nothing was published
-  EXPECT_EQ(manager.stats().total.republish_count, 0u);
 }
 
 TEST(ShardedRefreshManagerTest, ForceRebuildRebuildsAcrossShardsOnce) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 3;
-  ShardedRefreshManager manager(&store, options);
+  Rig rig(WithShards(3));
+  RefreshManager& manager = rig.manager;
   std::vector<RefreshColumnId> ids;
   for (int c = 0; c < 5; ++c) {
     auto id = RegisterSkewed(&manager, "t", "col" + std::to_string(c));
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
-  const uint64_t republish_before = manager.stats().total.republish_count;
+  const uint64_t republish_before = manager.stats().republish_count;
   ASSERT_TRUE(manager.ForceRebuild(ids).ok());
-  ShardedRefreshStats stats = manager.stats();
-  EXPECT_EQ(stats.total.rebuilds_forced, 5u);
-  EXPECT_EQ(stats.total.rebuilds_total, 5u);
-  // One merged publication for the whole forced batch.
-  EXPECT_EQ(stats.total.republish_count, republish_before + 1);
+  RefreshStats stats = manager.stats();
+  EXPECT_EQ(stats.rebuilds_forced, 5u);
+  EXPECT_EQ(stats.rebuilds_total, 5u);
+  // One publication for the whole forced batch.
+  EXPECT_EQ(stats.republish_count, republish_before + 1);
 
   std::vector<RefreshColumnId> bad = {424242};
   EXPECT_TRUE(manager.ForceRebuild(bad).IsInvalidArgument());
 }
 
 TEST(ShardedRefreshManagerTest, ScoreColumnsMergesShardsWorstFirst) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 3;
+  RefreshOptions options = WithShards(3);
   // Keep the churn visible to ScoreColumns: no rebuild may fire this tick.
-  options.refresh.maintenance.rebuild_drift_fraction = 1e9;
-  options.refresh.staleness.rebuild_score_threshold = 1e9;
-  ShardedRefreshManager manager(&store, options);
+  options.maintenance.rebuild_drift_fraction = 1e9;
+  options.staleness.rebuild_score_threshold = 1e9;
+  Rig rig(options);
+  RefreshManager& manager = rig.manager;
   auto calm = RegisterSkewed(&manager, "t", "calm");
   auto churned = RegisterSkewed(&manager, "t", "churned");
   auto mild = RegisterSkewed(&manager, "t", "mild");
@@ -333,23 +314,21 @@ TEST(ShardedRefreshManagerTest, ScoreColumnsMergesShardsWorstFirst) {
 
   std::vector<ColumnStalenessReport> reports = manager.ScoreColumns();
   ASSERT_EQ(reports.size(), 3u);
-  // Global ids survive the shard-local scoring.
   for (const ColumnStalenessReport& r : reports) {
     auto looked_up = manager.Lookup(r.table, r.column);
     ASSERT_TRUE(looked_up.ok());
     EXPECT_EQ(*looked_up, r.id);
   }
-  // Sorted worst-first across shard boundaries.
   for (size_t i = 1; i < reports.size(); ++i) {
     EXPECT_GE(reports[i - 1].score.total, reports[i].score.total);
   }
 }
 
+// Feedback folds into the one column it names, once — it is not fanned out
+// per shard.
 TEST(ShardedRefreshManagerTest, FeedbackReachesTheOwningShardOnly) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 3;
-  ShardedRefreshManager manager(&store, options);
+  Rig rig(WithShards(3));
+  RefreshManager& manager = rig.manager;
   auto id = RegisterSkewed(&manager, "orders", "customer_id");
   ASSERT_TRUE(id.ok());
 
@@ -357,38 +336,28 @@ TEST(ShardedRefreshManagerTest, FeedbackReachesTheOwningShardOnly) {
   sink->ReportEstimationError("orders", "customer_id", 100.0, 1000.0);
   sink->ReportEstimationError("orders", "unknown", 1.0, 2.0);  // ignored
 
-  ShardedRefreshStats stats = manager.stats();
-  EXPECT_EQ(stats.total.feedback_reports, 1u);
-  // Exactly one shard (the owner) recorded it.
-  size_t shards_with_reports = 0;
-  for (const RefreshStats& s : stats.per_shard) {
-    if (s.feedback_reports > 0) ++shards_with_reports;
-  }
-  EXPECT_EQ(shards_with_reports, 1u);
-
+  EXPECT_EQ(manager.stats().feedback_reports, 1u);
   std::vector<ColumnStalenessReport> reports = manager.ScoreColumns();
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_GT(reports[0].score.signals.feedback_error, 0.5);
 }
 
-// The joint staleness signal in action: under rebuild-budget pressure
-// (global budget = 1, several rebuild-recommended columns spread across
-// shards) the slot goes to the shard whose relation runs hottest — not
-// round-robin, not registration order.
+// Under rebuild-budget pressure (max_rebuilds_per_tick = 1, two
+// rebuild-worthy columns on different shards) the one global worst-first
+// list gives the slot to the hotter column; the other waits one tick.
 TEST(ShardedRefreshManagerTest, JointBudgetPrefersTheHotRelation) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 2;
-  options.max_rebuilds_per_tick_total = 1;
-  // Isolate the feedback signal so heat is exactly the reported q-error
-  // EWMA and both columns cross the rebuild threshold.
-  options.refresh.staleness.weight_drift = 0.0;
-  options.refresh.staleness.weight_self_join = 0.0;
-  options.refresh.maintenance.rebuild_drift_fraction = 1e9;
-  ShardedRefreshManager manager(&store, options);
+  RefreshOptions options = WithShards(2);
+  options.max_rebuilds_per_tick = 1;
+  // Isolate the feedback signal so each score is exactly the reported
+  // q-error EWMA and both columns cross the rebuild threshold.
+  options.staleness.weight_drift = 0.0;
+  options.staleness.weight_self_join = 0.0;
+  options.maintenance.rebuild_drift_fraction = 1e9;
+  Rig rig(options);
+  RefreshManager& manager = rig.manager;
 
-  // Register columns until both shards own at least one; keep one column
-  // per shard, each in its own relation.
+  // Register columns until both shards own one; keep one column per shard,
+  // each in its own relation.
   RefreshColumnId on_shard[2] = {0, 0};
   bool have_shard[2] = {false, false};
   for (int c = 0; c < 16 && !(have_shard[0] && have_shard[1]); ++c) {
@@ -402,225 +371,218 @@ TEST(ShardedRefreshManagerTest, JointBudgetPrefersTheHotRelation) {
     }
   }
   ASSERT_TRUE(have_shard[0] && have_shard[1]);
+  const RefreshColumnId hot = on_shard[1];
+  const RefreshColumnId warm = on_shard[0];
+  const std::string hot_table = "rel" + std::to_string(hot);
+  const std::string warm_table = "rel" + std::to_string(warm);
 
-  std::vector<ColumnStalenessReport> scored = manager.ScoreColumns();
-  auto table_of = [&](RefreshColumnId id) {
-    for (const ColumnStalenessReport& r : scored) {
-      if (r.id == id) return r.table;
+  // Hot: q-error 0.9; warm: 0.2 — both above the 0.10 threshold. Each takes
+  // one delta first (drift weighted out): feedback alone never asks for a
+  // rebuild of a column nothing changed since its build.
+  ASSERT_TRUE(manager.RecordInsert(hot, 1).ok());
+  ASSERT_TRUE(manager.RecordInsert(warm, 1).ok());
+  EstimationFeedbackSink* sink = &manager;
+  sink->ReportEstimationError(hot_table, "col" + std::to_string(hot), 100.0,
+                              1000.0);
+  sink->ReportEstimationError(warm_table, "col" + std::to_string(warm), 120.0,
+                              100.0);
+
+  auto rebuilds_of = [&](RefreshColumnId id) {
+    for (const ColumnStalenessReport& r : manager.ScoreColumns()) {
+      if (r.id == id) return r.rebuilds;
     }
     ADD_FAILURE() << "id " << id << " not scored";
-    return std::string();
+    return uint64_t{0};
   };
-  auto column_of = [&](RefreshColumnId id) {
-    for (const ColumnStalenessReport& r : scored) {
-      if (r.id == id) return r.column;
-    }
-    return std::string();
-  };
-
-  // Shard 1's relation is hot (q-error 0.9); shard 0's is warm (0.2) —
-  // both above the 0.10 rebuild threshold, so both DEMAND a slot. Each
-  // takes one delta first (its drift weighted out): feedback alone never
-  // asks for a rebuild of a column nothing changed since its build.
-  const size_t hot_shard = 1;
-  const size_t warm_shard = 0;
-  ASSERT_TRUE(manager.RecordInsert(on_shard[hot_shard], 1).ok());
-  ASSERT_TRUE(manager.RecordInsert(on_shard[warm_shard], 1).ok());
-  EstimationFeedbackSink* sink = &manager;
-  sink->ReportEstimationError(table_of(on_shard[hot_shard]),
-                              column_of(on_shard[hot_shard]), 100.0, 1000.0);
-  sink->ReportEstimationError(table_of(on_shard[warm_shard]),
-                              column_of(on_shard[warm_shard]), 120.0, 100.0);
 
   auto report = manager.Tick();
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->columns_rebuilt, 1u);  // global budget bites
-
-  ShardedRefreshStats stats = manager.stats();
-  EXPECT_EQ(stats.per_shard[hot_shard].rebuilds_feedback, 1u);
-  EXPECT_EQ(stats.per_shard[warm_shard].rebuilds_total, 0u);
+  EXPECT_EQ(report->columns_rebuilt, 1u);  // the global budget bites
+  EXPECT_EQ(rebuilds_of(hot), 1u);
+  EXPECT_EQ(rebuilds_of(warm), 0u);
+  EXPECT_EQ(manager.stats().rebuilds_feedback, 1u);
 
   // The next tick serves the deferred warm column (its EWMA persists).
   auto next = manager.Tick();
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->columns_rebuilt, 1u);
-  EXPECT_EQ(manager.stats().per_shard[warm_shard].rebuilds_feedback, 1u);
+  EXPECT_EQ(rebuilds_of(warm), 1u);
+  EXPECT_EQ(manager.stats().rebuilds_feedback, 2u);
 }
 
-TEST(ShardedRefreshManagerTest, ComputeRelationHeatFoldsDriftAndFeedback) {
-  std::vector<ColumnStalenessReport> reports(3);
-  reports[0].table = "fact";
-  reports[0].score.signals.drift_fraction = 0.4;
-  reports[0].score.signals.feedback_error = 0.1;
-  reports[1].table = "fact";
-  reports[1].score.signals.drift_fraction = 0.2;
-  reports[1].score.signals.feedback_error = 0.0;
-  reports[1].score.signals.self_join_error = 1e9;  // deliberately ignored
-  reports[2].table = "dim";
-  reports[2].score.signals.drift_fraction = 0.0;
-  reports[2].score.signals.feedback_error = 0.5;
-
-  StalenessOptions options;
-  options.weight_drift = 2.0;
-  options.weight_feedback = 3.0;
-  options.weight_self_join = 100.0;  // must not leak into heat
-
-  auto heat = ComputeRelationHeat(reports, options);
-  ASSERT_EQ(heat.size(), 2u);
-  EXPECT_NEAR(heat["fact"], 2.0 * (0.4 + 0.2) + 3.0 * 0.1, 1e-12);
-  EXPECT_NEAR(heat["dim"], 3.0 * 0.5, 1e-12);
+uint64_t Fnv1a(const std::vector<double>& values) {
+  uint64_t hash = 14695981039346656037ull;
+  for (double value : values) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    for (size_t byte = 0; byte < sizeof(bits); ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
 }
 
-// The headline identity: shards = 1 reproduces RefreshManager exactly —
-// same rebuild decisions in the same order, same tick accounting, and
-// bit-identical estimates served from the published snapshots.
+// FNV-1a of the four estimates below, served after one tick by the
+// unsharded RefreshManager as it stood before apply partitions existed.
+constexpr uint64_t kUnshardedEstimateFingerprint = 0x8ad8bd6790a7089full;
+
+// The headline identity: the shard count changes no decision. A drifting
+// Zipf `fact` column plus a calm `dim` column, run at shards ∈ {1, 2, 4},
+// give the same tick reports, the same counters, the same source version
+// and bit-identical estimates — and shards = 1 still serves exactly what
+// the unsharded manager served.
 TEST(ShardedRefreshManagerTest, ShardsOneMatchesRefreshManagerExactly) {
-  RefreshOptions refresh;
-  refresh.statistics.num_buckets = 6;
-  refresh.maintenance.rebuild_drift_fraction = 0.05;
-  refresh.max_rebuilds_per_tick = 2;
-
-  Catalog baseline_catalog;
-  SnapshotStore baseline_store;
-  RefreshManager baseline(&baseline_catalog, &baseline_store, refresh);
-
-  SnapshotStore sharded_store;
-  ShardedRefreshOptions sharded_options;
-  sharded_options.refresh = refresh;
-  sharded_options.shards = 1;
-  ShardedRefreshManager sharded(&sharded_store, sharded_options);
-
-  // Identical workload on both: a drifting Zipf column plus a calm one.
   ZipfParams params;
   params.total = 5000.0;
   params.num_values = 50;
   params.skew = 1.0;
   auto zipf = ZipfFrequenciesInteger(params);
   ASSERT_TRUE(zipf.ok());
-  std::vector<int64_t> values = TailValues(1, params.num_values);
+  const std::vector<int64_t> values = TailValues(1, params.num_values);
 
-  auto base_fact = baseline.RegisterColumn("fact", "key", values, *zipf);
-  auto shard_fact = sharded.RegisterColumn("fact", "key", values, *zipf);
-  ASSERT_TRUE(base_fact.ok());
-  ASSERT_TRUE(shard_fact.ok());
-  EXPECT_EQ(*base_fact, *shard_fact);
-  auto base_dim = baseline.RegisterColumn("dim", "key", values, *zipf);
-  auto shard_dim = sharded.RegisterColumn("dim", "key", values, *zipf);
-  ASSERT_TRUE(base_dim.ok());
-  ASSERT_TRUE(shard_dim.ok());
-  EXPECT_EQ(*base_dim, *shard_dim);
-
-  auto drive = [&](auto&& record_insert) {
-    // Tail value 45 becomes the hottest value; the calm column sees a
-    // trickle below the drift threshold.
-    for (int i = 0; i < 1500; ++i) record_insert(0u, int64_t{45});
-    for (int i = 0; i < 3; ++i) record_insert(1u, int64_t{7});
+  struct Run {
+    std::vector<RefreshTickReport> ticks;
+    RefreshStats stats;
+    uint64_t source_version = 0;
+    std::vector<double> estimates;
   };
-  drive([&](RefreshColumnId id, int64_t v) {
-    ASSERT_TRUE(baseline.RecordInsert(id, v).ok());
-  });
-  drive([&](RefreshColumnId id, int64_t v) {
-    ASSERT_TRUE(sharded.RecordInsert(id, v).ok());
-  });
-
-  auto base_tick = baseline.Tick();
-  auto shard_tick = sharded.Tick();
-  ASSERT_TRUE(base_tick.ok());
-  ASSERT_TRUE(shard_tick.ok());
-  EXPECT_EQ(base_tick->deltas_applied, shard_tick->deltas_applied);
-  EXPECT_EQ(base_tick->columns_rebuilt, shard_tick->columns_rebuilt);
-  EXPECT_EQ(base_tick->columns_touched, shard_tick->columns_touched);
-  EXPECT_EQ(base_tick->changed, shard_tick->changed);
-  EXPECT_EQ(base_tick->republished, shard_tick->republished);
-
-  RefreshStats base_stats = baseline.stats();
-  ShardedRefreshStats shard_stats = sharded.stats();
-  EXPECT_EQ(base_stats.deltas_applied, shard_stats.total.deltas_applied);
-  EXPECT_EQ(base_stats.rebuilds_total, shard_stats.total.rebuilds_total);
-  EXPECT_EQ(base_stats.rebuilds_drift, shard_stats.total.rebuilds_drift);
-  EXPECT_EQ(base_stats.rebuilds_self_join,
-            shard_stats.total.rebuilds_self_join);
-  EXPECT_EQ(base_stats.republish_count, shard_stats.total.republish_count);
-
-  // Published snapshots serve bit-identical estimates: CompileMerged of one
-  // catalog IS Compile of it, and the shard applied/rebuilt identically.
-  auto base_snapshot = baseline_store.Current();
-  auto shard_snapshot = sharded_store.Current();
-  EXPECT_EQ(base_snapshot->source_version(), shard_snapshot->source_version());
-
-  auto specs_for = [&](const CatalogSnapshot& snapshot) {
-    auto fact = snapshot.Resolve("fact", "key");
-    auto dim = snapshot.Resolve("dim", "key");
+  auto run = [&](size_t shards) {
+    RefreshOptions options = WithShards(shards);
+    options.statistics.num_buckets = 6;
+    options.maintenance.rebuild_drift_fraction = 0.05;
+    options.max_rebuilds_per_tick = 2;
+    Rig rig(options);
+    RefreshManager& manager = rig.manager;
+    Run out;
+    auto fact = manager.RegisterColumn("fact", "key", values, *zipf);
+    auto dim = manager.RegisterColumn("dim", "key", values, *zipf);
     EXPECT_TRUE(fact.ok());
     EXPECT_TRUE(dim.ok());
-    std::vector<EstimateSpec> specs;
-    specs.push_back(EstimateSpec::Equality(*fact, Value(int64_t{45})));
-    specs.push_back(EstimateSpec::Equality(*fact, Value(int64_t{1})));
-    specs.push_back(EstimateSpec::Equality(*dim, Value(int64_t{7})));
-    specs.push_back(EstimateSpec::Join(*fact, *dim));
-    return specs;
-  };
-  std::vector<Result<double>> base_estimates =
-      EstimateBatch(*base_snapshot, specs_for(*base_snapshot));
-  std::vector<Result<double>> shard_estimates =
-      EstimateBatch(*shard_snapshot, specs_for(*shard_snapshot));
-  ASSERT_EQ(base_estimates.size(), shard_estimates.size());
-  for (size_t i = 0; i < base_estimates.size(); ++i) {
-    ASSERT_TRUE(base_estimates[i].ok());
-    ASSERT_TRUE(shard_estimates[i].ok());
-    EXPECT_EQ(*base_estimates[i], *shard_estimates[i]) << "spec " << i;
-  }
+    // Tail value 45 becomes the hottest value; the calm column sees a
+    // trickle below the drift threshold.
+    for (int i = 0; i < 1500; ++i) {
+      EXPECT_TRUE(manager.RecordInsert(*fact, 45).ok());
+    }
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(manager.RecordInsert(*dim, 7).ok());
+    }
+    auto busy = manager.Tick();
+    EXPECT_TRUE(busy.ok());
+    if (busy.ok()) out.ticks.push_back(*busy);
 
-  // An idle tick skips publication on both sides identically.
-  auto base_idle = baseline.Tick();
-  auto shard_idle = sharded.Tick();
-  ASSERT_TRUE(base_idle.ok());
-  ASSERT_TRUE(shard_idle.ok());
-  EXPECT_FALSE(base_idle->republished);
-  EXPECT_FALSE(shard_idle->republished);
-  EXPECT_EQ(baseline.stats().ticks_skipped,
-            sharded.stats().total.ticks_skipped);
+    auto snapshot = rig.store.Current();
+    out.source_version = snapshot->source_version();
+    auto fact_id = snapshot->Resolve("fact", "key");
+    auto dim_id = snapshot->Resolve("dim", "key");
+    EXPECT_TRUE(fact_id.ok());
+    EXPECT_TRUE(dim_id.ok());
+    std::vector<EstimateSpec> specs;
+    specs.push_back(EstimateSpec::Equality(*fact_id, Value(int64_t{45})));
+    specs.push_back(EstimateSpec::Equality(*fact_id, Value(int64_t{1})));
+    specs.push_back(EstimateSpec::Equality(*dim_id, Value(int64_t{7})));
+    specs.push_back(EstimateSpec::Join(*fact_id, *dim_id));
+    for (const Result<double>& estimate : EstimateBatch(*snapshot, specs)) {
+      EXPECT_TRUE(estimate.ok());
+      out.estimates.push_back(estimate.ok() ? *estimate : -1.0);
+    }
+
+    // An idle tick skips publication at every shard count.
+    auto idle = manager.Tick();
+    EXPECT_TRUE(idle.ok());
+    if (idle.ok()) out.ticks.push_back(*idle);
+    out.stats = manager.stats();
+    return out;
+  };
+
+  const Run base = run(1);
+  ASSERT_EQ(base.ticks.size(), 2u);
+  EXPECT_EQ(base.ticks[0].columns_rebuilt, 1u);
+  EXPECT_TRUE(base.ticks[0].republished);
+  EXPECT_FALSE(base.ticks[1].republished);
+  ASSERT_EQ(base.estimates.size(), 4u);
+  EXPECT_EQ(Fnv1a(base.estimates), kUnshardedEstimateFingerprint);
+
+  for (const size_t shards : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const Run other = run(shards);
+    ASSERT_EQ(other.ticks.size(), base.ticks.size());
+    for (size_t t = 0; t < base.ticks.size(); ++t) {
+      EXPECT_EQ(other.ticks[t].deltas_applied, base.ticks[t].deltas_applied);
+      EXPECT_EQ(other.ticks[t].columns_touched, base.ticks[t].columns_touched);
+      EXPECT_EQ(other.ticks[t].columns_rebuilt, base.ticks[t].columns_rebuilt);
+      EXPECT_EQ(other.ticks[t].changed, base.ticks[t].changed);
+      EXPECT_EQ(other.ticks[t].republished, base.ticks[t].republished);
+    }
+    const RefreshStats& a = base.stats;
+    const RefreshStats& b = other.stats;
+    EXPECT_EQ(b.columns_tracked, a.columns_tracked);
+    EXPECT_EQ(b.deltas_applied, a.deltas_applied);
+    EXPECT_EQ(b.unknown_column_records, a.unknown_column_records);
+    EXPECT_EQ(b.ticks, a.ticks);
+    EXPECT_EQ(b.ticks_skipped, a.ticks_skipped);
+    EXPECT_EQ(b.rebuilds_total, a.rebuilds_total);
+    EXPECT_EQ(b.rebuilds_drift, a.rebuilds_drift);
+    EXPECT_EQ(b.rebuilds_self_join, a.rebuilds_self_join);
+    EXPECT_EQ(b.rebuilds_feedback, a.rebuilds_feedback);
+    EXPECT_EQ(b.rebuilds_forced, a.rebuilds_forced);
+    EXPECT_EQ(b.republish_count, a.republish_count);
+    EXPECT_EQ(b.feedback_reports, a.feedback_reports);
+    EXPECT_EQ(b.tuning_observations, a.tuning_observations);
+    EXPECT_EQ(b.tuning_adjustments, a.tuning_adjustments);
+    EXPECT_EQ(b.tuning_promotions, a.tuning_promotions);
+    EXPECT_EQ(b.log.enqueued, a.log.enqueued);
+    EXPECT_EQ(b.log.drained, a.log.drained);
+    EXPECT_EQ(b.log.rejected, a.log.rejected);
+    EXPECT_EQ(b.log.producer_waits, a.log.producer_waits);
+    EXPECT_EQ(b.log.high_water, a.log.high_water);
+    EXPECT_EQ(other.source_version, base.source_version);
+    ASSERT_EQ(other.estimates.size(), base.estimates.size());
+    for (size_t i = 0; i < base.estimates.size(); ++i) {
+      EXPECT_EQ(other.estimates[i], base.estimates[i]) << "spec " << i;
+    }
+  }
 }
 
 TEST(ShardedRefreshManagerTest, PerShardTelemetryCarriesShardLabels) {
   telemetry::SetEnabled(true);
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 2;
-  ShardedRefreshManager manager(&store, options);
-  auto id = RegisterSkewed(&manager, "t", "a");
-  ASSERT_TRUE(id.ok());
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(manager.RecordInsert(*id, 5).ok());
+  Rig rig(WithShards(2));
+  RefreshManager& manager = rig.manager;
+  std::vector<uint64_t> owned(2, 0);
+  for (int c = 0; c < 8; ++c) {
+    auto id = RegisterSkewed(&manager, "t", "col" + std::to_string(c));
+    ASSERT_TRUE(id.ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(manager.RecordInsert(*id, 5).ok());
+    }
+    owned[manager.ShardOfColumn(*id)] += 10;
   }
   ASSERT_TRUE(manager.Tick().ok());
 
   const telemetry::MetricsSnapshot snapshot =
       telemetry::MetricRegistry::Global().Collect();
-  for (const char* shard : {"0", "1"}) {
+  for (size_t shard = 0; shard < owned.size(); ++shard) {
+    if (owned[shard] == 0) continue;
+    const std::string label = std::to_string(shard);
     const telemetry::MetricSnapshot* span_count = snapshot.Find(
         "hops_span_total",
-        telemetry::LabelSet{{"span", "Refresh.ShardTick"}, {"shard", shard}});
+        telemetry::LabelSet{{"span", "Refresh.ShardTick"}, {"shard", label}});
     ASSERT_NE(span_count, nullptr) << "shard " << shard;
-    EXPECT_GE(span_count->value, 1.0);  // every tick spans every shard
+    EXPECT_GE(span_count->value, 1.0);
+    const telemetry::MetricSnapshot* deltas = snapshot.Find(
+        "hops_refresh_shard_deltas_total", telemetry::LabelSet{{"shard", label}});
+    ASSERT_NE(deltas, nullptr) << "shard " << shard;
+    EXPECT_GE(deltas->value, static_cast<double>(owned[shard]));
   }
-  const size_t owner = manager.ShardOfColumn(*id);
-  const telemetry::MetricSnapshot* deltas = snapshot.Find(
-      "hops_refresh_shard_deltas_total",
-      telemetry::LabelSet{{"shard", std::to_string(owner)}});
-  ASSERT_NE(deltas, nullptr);
-  EXPECT_GE(deltas->value, 10.0);
 }
 
 TEST(ShardedRefreshManagerTest, CloseLogsFailsFurtherRecords) {
-  SnapshotStore store;
-  ShardedRefreshOptions options;
-  options.shards = 2;
-  ShardedRefreshManager manager(&store, options);
+  Rig rig(WithShards(2));
+  RefreshManager& manager = rig.manager;
   auto id = RegisterSkewed(&manager, "t", "a");
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(manager.RecordInsert(*id, 1).ok());
-  manager.CloseLogs();
+  manager.update_log().Close();
   EXPECT_TRUE(manager.RecordInsert(*id, 1).IsResourceExhausted());
   std::vector<UpdateRecord> batch = {UpdateRecord{*id, 1, +1.0}};
   EXPECT_TRUE(manager.RecordBatch(batch).IsResourceExhausted());

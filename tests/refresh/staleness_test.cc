@@ -194,82 +194,6 @@ TEST(StalenessAdvisorTest, TuningReliefIsBoundedAndOptional) {
   EXPECT_DOUBLE_EQ(disabled.Score(signals).total, 0.20);
 }
 
-// ------------------------------------- joint rebuild budgeting (DESIGN §10)
-
-TEST(AllocateRebuildBudgetTest, NoPressureGrantsEveryDemand) {
-  std::vector<double> heat = {0.1, 5.0, 0.0};
-  std::vector<size_t> demand = {2, 3, 1};
-  std::vector<size_t> grants = AllocateRebuildBudget(heat, demand, 10);
-  EXPECT_EQ(grants, (std::vector<size_t>{2, 3, 1}));
-}
-
-TEST(AllocateRebuildBudgetTest, PressureSplitsProportionallyToHeat) {
-  // Heat 3:1 over a budget of 4 -> 3 and 1.
-  std::vector<double> heat = {3.0, 1.0};
-  std::vector<size_t> demand = {10, 10};
-  std::vector<size_t> grants = AllocateRebuildBudget(heat, demand, 4);
-  EXPECT_EQ(grants, (std::vector<size_t>{3, 1}));
-}
-
-TEST(AllocateRebuildBudgetTest, LargestRemainderBreaksFractions) {
-  // Shares of budget 1 at heat {0.9, 0.2}: floors are 0, the leftover slot
-  // goes to the larger fractional remainder (shard 0).
-  std::vector<double> heat = {0.9, 0.2};
-  std::vector<size_t> demand = {1, 1};
-  std::vector<size_t> grants = AllocateRebuildBudget(heat, demand, 1);
-  EXPECT_EQ(grants, (std::vector<size_t>{1, 0}));
-}
-
-TEST(AllocateRebuildBudgetTest, DemandCapsEveryGrant) {
-  // Shard 0 is very hot but only wants one slot: its surplus spills to the
-  // cooler shard instead of evaporating.
-  std::vector<double> heat = {100.0, 1.0};
-  std::vector<size_t> demand = {1, 5};
-  std::vector<size_t> grants = AllocateRebuildBudget(heat, demand, 4);
-  EXPECT_EQ(grants[0], 1u);
-  EXPECT_EQ(grants[1], 3u);
-}
-
-TEST(AllocateRebuildBudgetTest, AllZeroHeatFallsBackToDemandProportional) {
-  // No heat signal at all: split by demand so no shard is starved FIFO-style.
-  std::vector<double> heat = {0.0, 0.0};
-  std::vector<size_t> demand = {6, 2};
-  std::vector<size_t> grants = AllocateRebuildBudget(heat, demand, 4);
-  EXPECT_EQ(grants, (std::vector<size_t>{3, 1}));
-}
-
-TEST(AllocateRebuildBudgetTest, TiesGoToTheLowerIndexDeterministically) {
-  std::vector<double> heat = {1.0, 1.0, 1.0};
-  std::vector<size_t> demand = {2, 2, 2};
-  // Budget 4 over equal heat: floors 1 each, one leftover -> shard 0.
-  std::vector<size_t> grants = AllocateRebuildBudget(heat, demand, 4);
-  EXPECT_EQ(grants, (std::vector<size_t>{2, 1, 1}));
-  // Determinism: same inputs, same answer.
-  EXPECT_EQ(AllocateRebuildBudget(heat, demand, 4), grants);
-}
-
-TEST(AllocateRebuildBudgetTest, ZeroBudgetAndZeroDemandEdgeCases) {
-  std::vector<double> heat = {1.0, 2.0};
-  std::vector<size_t> zero_demand = {0, 0};
-  EXPECT_EQ(AllocateRebuildBudget(heat, zero_demand, 8),
-            (std::vector<size_t>{0, 0}));
-  std::vector<size_t> demand = {3, 3};
-  EXPECT_EQ(AllocateRebuildBudget(heat, demand, 0),
-            (std::vector<size_t>{0, 0}));
-  EXPECT_TRUE(AllocateRebuildBudget({}, {}, 5).empty());
-}
-
-TEST(AllocateRebuildBudgetTest, SingleShardDegeneratesToTruncation) {
-  // The shards = 1 identity: one shard always receives min(demand, budget),
-  // exactly RefreshManager's own per-tick cap.
-  std::vector<double> heat = {0.0};
-  std::vector<size_t> demand = {7};
-  EXPECT_EQ(AllocateRebuildBudget(heat, demand, 4),
-            (std::vector<size_t>{4}));
-  EXPECT_EQ(AllocateRebuildBudget(heat, demand, 9),
-            (std::vector<size_t>{7}));
-}
-
 TEST(RebuildReasonTest, StringNamesAreStable) {
   EXPECT_STREQ(RebuildReasonToString(RebuildReason::kNone), "none");
   EXPECT_STREQ(RebuildReasonToString(RebuildReason::kDrift), "drift");

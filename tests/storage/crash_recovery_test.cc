@@ -1,9 +1,9 @@
-// The crash-recovery proof (ISSUE acceptance): a real child process
-// (storage_crash_child.cc, path injected via HOPS_CRASH_CHILD_PATH) churns
-// delta batches against a durable store and is SIGKILLed mid-stride —
-// twice, so the second run also exercises recover-then-keep-writing. After
-// every kill the parent recovers in-process and checks the write-ahead
-// invariant:
+// The crash-recovery proof: a real child process (storage_crash_child.cc,
+// path injected via HOPS_CRASH_CHILD_PATH) churns delta batches across four
+// columns of a durable store and is SIGKILLed mid-stride — twice, so the
+// second run also exercises recover-then-keep-writing — once at one shard
+// and once at four. After every kill the parent recovers in-process and
+// checks the write-ahead invariant:
 //
 //   acked <= WAL delta records replayed <= attempted
 //
@@ -55,7 +55,9 @@ uint64_t ReadCounter(const std::string& path) {
 // Runs the child until it prints "churning", lets it write for a while,
 // then SIGKILLs it mid-stride and reaps it.
 void RunChildAndKill(const std::string& data_dir,
-                     const std::string& counter_dir, useconds_t churn_usec) {
+                     const std::string& counter_dir, size_t shards,
+                     useconds_t churn_usec) {
+  const std::string shards_arg = std::to_string(shards);
   int out[2];
   ASSERT_EQ(::pipe(out), 0);
 
@@ -66,7 +68,8 @@ void RunChildAndKill(const std::string& data_dir,
     ::dup2(out[1], STDOUT_FILENO);
     ::close(out[1]);
     ::execl(HOPS_CRASH_CHILD_PATH, HOPS_CRASH_CHILD_PATH, data_dir.c_str(),
-            counter_dir.c_str(), static_cast<char*>(nullptr));
+            counter_dir.c_str(), shards_arg.c_str(),
+            static_cast<char*>(nullptr));
     std::perror("execl");
     ::_exit(127);
   }
@@ -92,11 +95,15 @@ void RunChildAndKill(const std::string& data_dir,
   ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
 }
 
+constexpr size_t kChildColumns = 4;
+
 // Recovers the store into a fresh manager and returns the report.
-RecoveryReport RecoverFresh(const std::string& data_dir) {
+RecoveryReport RecoverFresh(const std::string& data_dir, size_t shards) {
   Catalog catalog;
   SnapshotStore store;
-  RefreshManager manager(&catalog, &store);
+  RefreshOptions refresh_options;
+  refresh_options.shards = shards;
+  RefreshManager manager(&catalog, &store, refresh_options);
 
   StorageOptions options;
   options.data_dir = data_dir;
@@ -105,36 +112,39 @@ RecoveryReport RecoverFresh(const std::string& data_dir) {
   std::unique_ptr<RecoveryManager> durable = std::move(opened).ValueOrDie();
   const Status recovered = durable->RecoverAndAttach(&manager);
   EXPECT_TRUE(recovered.ok()) << recovered.message();
-  EXPECT_EQ(manager.num_columns(), 1u);
+  EXPECT_EQ(manager.num_columns(), kChildColumns);
   return durable->report();
 }
 
 TEST(CrashRecovery, SigkillMidChurnLosesNoAckedRecordsAcrossTwoCycles) {
-  const std::string data_dir = MakeTempDir("crashdata");
-  const std::string counter_dir = MakeTempDir("crashcount");
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string data_dir = MakeTempDir("crashdata");
+    const std::string counter_dir = MakeTempDir("crashcount");
 
-  uint64_t previous_replayed = 0;
-  for (int cycle = 0; cycle < 2; ++cycle) {
-    SCOPED_TRACE("cycle " + std::to_string(cycle));
-    RunChildAndKill(data_dir, counter_dir, /*churn_usec=*/200 * 1000);
+    uint64_t previous_replayed = 0;
+    for (int cycle = 0; cycle < 2; ++cycle) {
+      SCOPED_TRACE("cycle " + std::to_string(cycle));
+      RunChildAndKill(data_dir, counter_dir, shards, /*churn_usec=*/200 * 1000);
 
-    const uint64_t attempted = ReadCounter(counter_dir + "/attempted");
-    const uint64_t acked = ReadCounter(counter_dir + "/acked");
-    ASSERT_GT(acked, 0u) << "child made no progress";
-    ASSERT_GE(attempted, acked);
+      const uint64_t attempted = ReadCounter(counter_dir + "/attempted");
+      const uint64_t acked = ReadCounter(counter_dir + "/acked");
+      ASSERT_GT(acked, 0u) << "child made no progress";
+      ASSERT_GE(attempted, acked);
 
-    const RecoveryReport report = RecoverFresh(data_dir);
-    // No snapshot was ever written, so the replay count is the cumulative
-    // record count — directly comparable to the cumulative counters.
-    EXPECT_FALSE(report.snapshot_loaded);
-    EXPECT_EQ(report.wal_registrations, 1u);
-    EXPECT_GE(report.wal_delta_records, acked)
-        << "acked records lost after kill -9";
-    EXPECT_LE(report.wal_delta_records, attempted)
-        << "replay invented records";
-    EXPECT_GE(report.wal_delta_records, previous_replayed)
-        << "second run lost the first run's records";
-    previous_replayed = report.wal_delta_records;
+      const RecoveryReport report = RecoverFresh(data_dir, shards);
+      // No snapshot was ever written, so the replay count is the cumulative
+      // record count — directly comparable to the cumulative counters.
+      EXPECT_FALSE(report.snapshot_loaded);
+      EXPECT_EQ(report.wal_registrations, kChildColumns);
+      EXPECT_GE(report.wal_delta_records, acked)
+          << "acked records lost after kill -9";
+      EXPECT_LE(report.wal_delta_records, attempted)
+          << "replay invented records";
+      EXPECT_GE(report.wal_delta_records, previous_replayed)
+          << "second run lost the first run's records";
+      previous_replayed = report.wal_delta_records;
+    }
   }
 }
 

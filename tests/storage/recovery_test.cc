@@ -1,7 +1,8 @@
 // RecoveryManager integration (src/storage/recovery.h): the full durable
 // lifecycle against real RefreshManagers — cold start, checkpoint, clean
 // shutdown, crash-without-snapshot, snapshot fallback, retention, and the
-// headline guarantee that a warm restart answers estimates bit-identically.
+// headline guarantee that a warm restart answers estimates bit-identically,
+// including across a change of shard count and with self-tuning on.
 
 #include "storage/recovery.h"
 
@@ -36,10 +37,16 @@ struct Stack {
   SnapshotStore store;
   std::unique_ptr<RefreshManager> manager;
 
-  Stack() {
+  explicit Stack(size_t shards = 1) : Stack(Options(shards)) {}
+  explicit Stack(const RefreshOptions& options) {
+    manager = std::make_unique<RefreshManager>(&catalog, &store, options);
+  }
+
+  static RefreshOptions Options(size_t shards) {
     RefreshOptions options;
     options.statistics.num_buckets = 8;
-    manager = std::make_unique<RefreshManager>(&catalog, &store, options);
+    options.shards = shards;
+    return options;
   }
 
   void RegisterDemoColumns() {
@@ -65,7 +72,7 @@ struct Stack {
     for (const char* column : {"customer_id", "item_id"}) {
       Result<ColumnId> id = snapshot->Resolve("orders", column);
       EXPECT_TRUE(id.ok());
-      for (int64_t v : {0, 7, 23, 39}) {
+      for (int64_t v : {0, 3, 7, 11, 23, 29, 39}) {
         specs.push_back(EstimateSpec::Equality(*id, Value(v)));
       }
     }
@@ -102,11 +109,13 @@ std::vector<UpdateRecord> Churn(RefreshColumnId column, int n, int seed) {
   return records;
 }
 
+// Written at shards = 4, recovered at shards = 1: the shard count is not
+// part of the durable image.
 TEST(RecoveryTest, CleanShutdownThenWarmRestartIsBitIdentical) {
   const std::string dir = MakeTempDir("recclean");
   std::vector<double> before;
   {
-    Stack stack;
+    Stack stack(/*shards=*/4);
     auto store = OpenStore(dir);
     ASSERT_TRUE(store->RecoverAndAttach(stack.manager.get()).ok());
     EXPECT_FALSE(store->report().snapshot_loaded);  // cold start
@@ -122,7 +131,7 @@ TEST(RecoveryTest, CleanShutdownThenWarmRestartIsBitIdentical) {
     ASSERT_TRUE(store->CloseAndSnapshot().ok());  // idempotent
   }
   {
-    Stack stack;
+    Stack stack(/*shards=*/1);
     auto store = OpenStore(dir);
     ASSERT_TRUE(store->RecoverAndAttach(stack.manager.get()).ok());
     const RecoveryReport& report = store->report();
@@ -133,6 +142,81 @@ TEST(RecoveryTest, CleanShutdownThenWarmRestartIsBitIdentical) {
     // The headline guarantee, bit-for-bit (EXPECT_EQ on doubles, not NEAR).
     EXPECT_EQ(before, stack.Estimates());
   }
+}
+
+// Sharding, self-tuning and durability in one deterministic run: churn
+// and skewed feedback tune the columns in place at shards = 4, a checkpoint
+// captures the tuned histograms, and a restart at shards = 1 serves the
+// same equality bits — which also equal the same run made at shards = 1.
+// Range estimates are left out: the tuner's refinement tree is soft state
+// that the image does not carry.
+TEST(RecoveryTest, ShardedSelfTunedStateRecoversBitIdenticallyAtOneShard) {
+  struct Outcome {
+    std::vector<double> untuned;
+    std::vector<double> before;
+    std::vector<double> after;
+    uint64_t tuning_changes = 0;
+  };
+  auto run = [](size_t shards) {
+    Outcome out;
+    const std::string dir = MakeTempDir("rectune");
+    RefreshOptions options = Stack::Options(shards);
+    options.tuning.enabled = true;
+    // Keep the tuned histograms in place: no rebuild may replace them.
+    options.maintenance.rebuild_drift_fraction = 1e18;
+    options.staleness.rebuild_score_threshold = 1e18;
+    {
+      Stack stack(options);
+      auto store = OpenStore(dir);
+      EXPECT_TRUE(store->RecoverAndAttach(stack.manager.get()).ok());
+      stack.RegisterDemoColumns();
+      for (const char* column : {"customer_id", "item_id"}) {
+        const RefreshColumnId id =
+            stack.manager->Lookup("orders", column).ValueOrDie();
+        EXPECT_TRUE(stack.manager->RecordBatch(Churn(id, 60, 3)).ok());
+      }
+      EXPECT_TRUE(stack.manager->Tick().ok());
+      out.untuned = stack.Estimates();
+      for (int round = 0; round < 8 && out.tuning_changes == 0; ++round) {
+        const std::shared_ptr<const CatalogSnapshot> snapshot =
+            stack.store.Current();
+        for (const char* column : {"customer_id", "item_id"}) {
+          const ColumnId id = snapshot->Resolve("orders", column).ValueOrDie();
+          for (int64_t v : {3, 11, 29}) {
+            const EstimateSpec spec = EstimateSpec::Equality(id, Value(v));
+            const double estimated = EstimateOne(*snapshot, spec).ValueOrDie();
+            EXPECT_TRUE(ReportEstimateOutcome(*snapshot, spec, estimated,
+                                              400.0 + 10.0 * v,
+                                              stack.manager.get())
+                            .ok());
+          }
+        }
+        EXPECT_TRUE(stack.manager->Tick().ok());
+        const RefreshStats stats = stack.manager->stats();
+        out.tuning_changes = stats.tuning_adjustments + stats.tuning_promotions;
+      }
+      out.before = stack.Estimates();
+      EXPECT_TRUE(store->WriteSnapshot().ok());
+    }
+    {
+      Stack stack(Stack::Options(1));
+      auto store = OpenStore(dir);
+      EXPECT_TRUE(store->RecoverAndAttach(stack.manager.get()).ok());
+      EXPECT_TRUE(store->report().snapshot_loaded);
+      EXPECT_EQ(store->report().wal_delta_records, 0u);
+      out.after = stack.Estimates();
+    }
+    return out;
+  };
+
+  const Outcome sharded = run(4);
+  ASSERT_GT(sharded.tuning_changes, 0u) << "feedback never tuned a column";
+  EXPECT_NE(sharded.untuned, sharded.before) << "tuning moved no estimate";
+  EXPECT_EQ(sharded.before, sharded.after);
+  const Outcome single = run(1);
+  EXPECT_EQ(single.tuning_changes, sharded.tuning_changes);
+  EXPECT_EQ(single.before, sharded.before);
+  EXPECT_EQ(single.after, sharded.after);
 }
 
 TEST(RecoveryTest, CrashWithoutSnapshotReplaysEverythingFromWal) {

@@ -1,8 +1,9 @@
 // Child process for crash_recovery_test: opens the durable store over
-// <data_dir>, recovers, then churns delta batches forever, bumping an
-// "attempted" counter file BEFORE each RecordBatch and an "acked" one
-// AFTER it returns OK — until the parent SIGKILLs it mid-stride. The
-// parent then proves the WAL holds every acked record:
+// <data_dir> with a RefreshManager of <shards> apply partitions, recovers,
+// registers four columns on a cold start, then churns delta batches across
+// them forever, bumping an "attempted" counter file BEFORE each RecordBatch
+// and an "acked" one AFTER it returns OK — until the parent SIGKILLs it
+// mid-stride. The parent then proves the WAL holds every acked record:
 //
 //   acked <= replayed delta records <= attempted
 //
@@ -11,13 +12,14 @@
 // reads a consistent "how far did it get" even though the child never
 // fsyncs them.
 //
-// Usage: storage_crash_child <data_dir> <counter_dir>
+// Usage: storage_crash_child <data_dir> <counter_dir> <shards>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -52,12 +54,15 @@ void WriteCounter(int fd, uint64_t value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 3) {
-    std::fprintf(stderr, "usage: %s <data_dir> <counter_dir>\n", argv[0]);
+  if (argc != 4) {
+    std::fprintf(stderr, "usage: %s <data_dir> <counter_dir> <shards>\n",
+                 argv[0]);
     return 2;
   }
   const std::string data_dir = argv[1];
   const std::string counter_dir = argv[2];
+  hops::RefreshOptions refresh_options;
+  refresh_options.shards = std::strtoul(argv[3], nullptr, 10);
 
   // Counters continue across restarts, like the WAL they mirror.
   uint64_t attempted = 0;
@@ -67,7 +72,7 @@ int main(int argc, char** argv) {
 
   hops::Catalog catalog;
   hops::SnapshotStore store;
-  hops::RefreshManager manager(&catalog, &store);
+  hops::RefreshManager manager(&catalog, &store, refresh_options);
 
   hops::storage::StorageOptions options;
   options.data_dir = data_dir;
@@ -87,19 +92,26 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  constexpr int kColumns = 4;
   if (manager.num_columns() == 0) {
     std::vector<int64_t> values(64);
     std::vector<double> freqs(64, 25.0);
     for (int i = 0; i < 64; ++i) values[i] = i;
-    auto id = manager.RegisterColumn("orders", "customer_id", values, freqs);
-    if (!id.ok()) {
-      std::fprintf(stderr, "register: %s\n",
-                   std::string(id.status().message()).c_str());
-      return 2;
+    for (int c = 0; c < kColumns; ++c) {
+      auto id = manager.RegisterColumn("orders", "c" + std::to_string(c),
+                                       values, freqs);
+      if (!id.ok()) {
+        std::fprintf(stderr, "register: %s\n",
+                     std::string(id.status().message()).c_str());
+        return 2;
+      }
     }
   }
-  const hops::RefreshColumnId column =
-      manager.Lookup("orders", "customer_id").ValueOrDie();
+  std::vector<hops::RefreshColumnId> columns;
+  for (int c = 0; c < kColumns; ++c) {
+    columns.push_back(
+        manager.Lookup("orders", "c" + std::to_string(c)).ValueOrDie());
+  }
 
   // Tell the parent we are past recovery and churning; it kills us only
   // after this so every run makes forward progress.
@@ -109,7 +121,7 @@ int main(int argc, char** argv) {
   for (uint64_t batch = 0;; ++batch) {
     std::vector<hops::UpdateRecord> records(8);
     for (size_t i = 0; i < records.size(); ++i) {
-      records[i].column = column;
+      records[i].column = columns[(attempted + i) % columns.size()];
       records[i].value = static_cast<int64_t>((attempted + i) % 64);
       records[i].weight = (i % 5 == 4) ? -1.0 : +1.0;
     }
