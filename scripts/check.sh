@@ -13,25 +13,22 @@
 #   --telemetry-smoke  build + run examples/feedback_loop and grep its
 #              Prometheus dump for the expected metric families (the §9
 #              end-to-end observability gate)
-#   --serving-smoke  build + run examples/serve_estimates, curl /metrics
-#              and /estimate over loopback, and grep the responses for the
-#              expected metric families (the §11 end-to-end serving gate)
 #   --probe-smoke  build + run bench_estimation --quick and assert the §12
 #              determinism gates: eytzinger_vs_lower_bound.identical, every
 #              workload bit-identical, and batched >= snapshot per workload
-#   --recovery-smoke  build + run serve_estimates with a data dir, accept
-#              updates over /update, kill -9 the server, restart it on the
-#              same dir, and assert the /estimate answer is bit-identical —
-#              the §13 end-to-end crash-recovery gate
-#   --trace-smoke  build + run serve_estimates with --trace-file, drive a
-#              traced request (W3C traceparent) and assert the trace id is
-#              echoed, hit /debug/tracez + /debug/logz + /healthz, SIGTERM,
-#              then validate the dumped Chrome trace JSON — the §14
-#              end-to-end tracing gate
-#   --selftune-smoke  build + run serve_estimates with HOPS_SELFTUNE=on,
-#              POST skewed /feedback outcomes, and assert the tuning
-#              counters move in /debug/columns — the §15 end-to-end
-#              self-tuning gate
+#   --daemon-smoke  one examples/serve_estimates lifecycle over loopback,
+#              the end-to-end gate of §11 and §13–§15:
+#                1. boot A with HOPS_SELFTUNE=on and a data dir; /estimate,
+#                   then skewed /feedback on orders.item_id until the
+#                   tuning counters move in /debug/columns
+#                2. 40 /update deltas on orders.customer_id, then a
+#                   settled customer_id=7 estimate
+#                3. kill -9 A
+#                4. boot B on the same dir with --trace-file: the settled
+#                   estimate is bit-identical and /debug/wal is attached
+#                5. on B: /metrics families, the traceparent echo,
+#                   /debug/tracez, /debug/logz, /healthz
+#                6. SIGTERM B and validate the dumped Chrome trace JSON
 #   --skip-tier1  skip the default build+ctest+bench stage (used by the CI
 #              sanitizer jobs so they only pay for their own build)
 set -euo pipefail
@@ -41,21 +38,15 @@ RUN_TIER1=1
 RUN_ASAN=0
 RUN_TSAN=0
 RUN_TELEMETRY_SMOKE=0
-RUN_SERVING_SMOKE=0
 RUN_PROBE_SMOKE=0
-RUN_RECOVERY_SMOKE=0
-RUN_TRACE_SMOKE=0
-RUN_SELFTUNE_SMOKE=0
+RUN_DAEMON_SMOKE=0
 for arg in "$@"; do
   case "$arg" in
     --asan) RUN_ASAN=1 ;;
     --tsan) RUN_TSAN=1 ;;
     --telemetry-smoke) RUN_TELEMETRY_SMOKE=1 ;;
-    --serving-smoke) RUN_SERVING_SMOKE=1 ;;
     --probe-smoke) RUN_PROBE_SMOKE=1 ;;
-    --recovery-smoke) RUN_RECOVERY_SMOKE=1 ;;
-    --trace-smoke) RUN_TRACE_SMOKE=1 ;;
-    --selftune-smoke) RUN_SELFTUNE_SMOKE=1 ;;
+    --daemon-smoke) RUN_DAEMON_SMOKE=1 ;;
     --skip-tier1) RUN_TIER1=0 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
@@ -224,90 +215,64 @@ if [[ "$RUN_TELEMETRY_SMOKE" == 1 ]]; then
   echo "telemetry smoke: all expected metric families exported."
 fi
 
-if [[ "$RUN_SERVING_SMOKE" == 1 ]]; then
-  echo "== Serving smoke (serve_estimates example over loopback) =="
+if [[ "$RUN_PROBE_SMOKE" == 1 ]]; then
+  echo "== Probe smoke (bench_estimation --quick, §12 gates) =="
   cmake -B build -G Ninja
-  cmake --build build --target serve_estimates
-  SERVE_LOG=$(mktemp)
-  ./build/examples/serve_estimates --port=0 --max-seconds=60 >"$SERVE_LOG" 2>&1 &
-  SERVE_PID=$!
-  trap 'kill -TERM "$SERVE_PID" 2>/dev/null || true' EXIT
-  # The daemon prints its resolved ephemeral port on the first line.
-  SERVE_PORT=""
-  for _ in $(seq 1 50); do
-    SERVE_PORT=$(grep -oE 'serving on 127.0.0.1:[0-9]+' "$SERVE_LOG" \
-      | grep -oE '[0-9]+$' || true)
-    [[ -n "$SERVE_PORT" ]] && break
-    sleep 0.1
-  done
-  if [[ -z "$SERVE_PORT" ]]; then
-    echo "serving smoke: server never reported a port" >&2
-    cat "$SERVE_LOG" >&2
-    exit 1
-  fi
-  ESTIMATE_OUT=$(curl -sf -X POST "http://127.0.0.1:$SERVE_PORT/estimate" \
-    -d '{"specs":[{"kind":"equality","table":"orders","column":"customer_id","value":7}]}')
-  if ! grep -q '"estimate"' <<<"$ESTIMATE_OUT"; then
-    echo "serving smoke: /estimate returned no estimate: $ESTIMATE_OUT" >&2
-    exit 1
-  fi
-  METRICS_OUT=$(curl -sf "http://127.0.0.1:$SERVE_PORT/metrics")
-  for family in hops_http_requests_total hops_http_request_seconds_bucket \
-      hops_http_connections_total hops_span_duration_seconds_bucket; do
-    if ! grep -q "$family" <<<"$METRICS_OUT"; then
-      echo "serving smoke: family '$family' missing from /metrics" >&2
-      exit 1
-    fi
-  done
-  kill -TERM "$SERVE_PID"
-  wait "$SERVE_PID"
-  trap - EXIT
-  rm -f "$SERVE_LOG"
-  echo "serving smoke: /estimate answered and /metrics exported all families."
+  cmake --build build --target bench_estimation
+  PROBE_OUT=$(mktemp /tmp/probe_smoke.XXXXXX.json)
+  ./build/bench/bench_estimation "$PROBE_OUT" --quick
+  assert_estimation_gates "$PROBE_OUT"
+  rm -f "$PROBE_OUT"
+  echo "probe smoke: all §12 gates hold."
 fi
 
-if [[ "$RUN_RECOVERY_SMOKE" == 1 ]]; then
-  echo "== Recovery smoke (kill -9 serve_estimates, warm restart, §13 gate) =="
+if [[ "$RUN_DAEMON_SMOKE" == 1 ]]; then
+  echo "== Daemon smoke (one serve_estimates lifecycle: §11, §13, §14, §15) =="
   cmake -B build -G Ninja
   cmake --build build --target serve_estimates
-  RECOVERY_DIR=$(mktemp -d /tmp/recovery_smoke.XXXXXX)
-  RECOVERY_LOG=$(mktemp)
+  SMOKE_DIR=$(mktemp -d /tmp/daemon_smoke.XXXXXX)
+  SMOKE_LOG="$SMOKE_DIR/serve.log"
+  TRACE_OUT="$SMOKE_DIR/trace.json"
+  DATA_DIR="$SMOKE_DIR/data"
   SERVE_PID=""
-  cleanup_recovery() {
+  cleanup_daemon() {
     [[ -n "$SERVE_PID" ]] && kill -9 "$SERVE_PID" 2>/dev/null || true
-    rm -rf "$RECOVERY_DIR" "$RECOVERY_LOG"
+    rm -rf "$SMOKE_DIR"
   }
-  trap cleanup_recovery EXIT
+  trap cleanup_daemon EXIT
+  fail() {
+    echo "daemon smoke: $1" >&2
+    [[ $# -gt 1 ]] && echo "$2" >&2
+    exit 1
+  }
 
-  # Boots the server on the shared data dir and waits for its port.
-  start_server() {
-    : >"$RECOVERY_LOG"
+  # Boots serve_estimates with the given flags (environment from the
+  # caller) and waits for the ephemeral port it prints on its first line.
+  boot_daemon() {
+    : >"$SMOKE_LOG"
     ./build/examples/serve_estimates --port=0 --max-seconds=120 \
-      --data-dir="$RECOVERY_DIR" >"$RECOVERY_LOG" 2>&1 &
+      --data-dir="$DATA_DIR" "$@" >"$SMOKE_LOG" 2>&1 &
     SERVE_PID=$!
     SERVE_PORT=""
     for _ in $(seq 1 50); do
-      SERVE_PORT=$(grep -oE 'serving on 127.0.0.1:[0-9]+' "$RECOVERY_LOG" \
+      SERVE_PORT=$(grep -oE 'serving on 127.0.0.1:[0-9]+' "$SMOKE_LOG" \
         | grep -oE '[0-9]+$' || true)
       [[ -n "$SERVE_PORT" ]] && break
       sleep 0.1
     done
-    if [[ -z "$SERVE_PORT" ]]; then
-      echo "recovery smoke: server never reported a port" >&2
-      cat "$RECOVERY_LOG" >&2
-      exit 1
-    fi
+    [[ -n "$SERVE_PORT" ]] || fail "server never reported a port" \
+      "$(cat "$SMOKE_LOG")"
+    BASE="http://127.0.0.1:$SERVE_PORT"
   }
 
   ESTIMATE_BODY='{"specs":[{"kind":"equality","table":"orders","column":"customer_id","value":7}]}'
   # The refresh daemon folds accepted deltas into a published snapshot on
   # its own tick; sample only once two reads 0.3s apart agree, so both
-  # sides of the comparison see a settled histogram.
+  # sides of the restart comparison see a settled histogram.
   settled_estimate() {
     local prev="" cur=""
     for _ in $(seq 1 30); do
-      cur=$(curl -sf -X POST "http://127.0.0.1:$SERVE_PORT/estimate" \
-        -d "$ESTIMATE_BODY")
+      cur=$(curl -sf -X POST "$BASE/estimate" -d "$ESTIMATE_BODY")
       [[ -n "$prev" && "$cur" == "$prev" ]] && { echo "$cur"; return 0; }
       prev="$cur"
       sleep 0.3
@@ -315,111 +280,105 @@ if [[ "$RUN_RECOVERY_SMOKE" == 1 ]]; then
     echo "$cur"
   }
 
-  start_server
-  # Push accepted updates so recovery has real WAL state to replay, not
-  # just the seed catalog. Weight 7's bucket so the estimate visibly moves.
+  # 1. Daemon A: durable, self-tuning.
+  HOPS_SELFTUNE=on boot_daemon
+  ESTIMATE_OUT=$(curl -sf -X POST "$BASE/estimate" -d "$ESTIMATE_BODY")
+  grep -q '"estimate"' <<<"$ESTIMATE_OUT" ||
+    fail "/estimate returned no estimate: $ESTIMATE_OUT"
+  # Heavily skewed outcomes, so the tuner has real error to fold in. They
+  # name item_id only: tuning after the last checkpoint is not in the WAL,
+  # and customer_id must survive the kill -9 below bit for bit.
+  FEEDBACK_OUT=$(curl -sf -X POST "$BASE/feedback" -d '{"reports":[
+      {"kind":"equality","table":"orders","column":"item_id","value":3,"estimated":2.0,"actual":600.0},
+      {"kind":"equality","table":"orders","column":"item_id","value":7,"estimated":4.0,"actual":450.0},
+      {"kind":"equality","table":"orders","column":"item_id","value":11,"estimated":1.0,"actual":300.0}
+    ]}')
+  grep -q '"accepted": 3' <<<"$FEEDBACK_OUT" ||
+    fail "/feedback did not accept all records: $FEEDBACK_OUT"
+  # The refresh daemon ticks every 10ms and folds buffered outcomes into
+  # the histograms; poll /debug/columns until the tuning counters move.
+  COLUMNS_OUT=""
+  TUNED=0
+  for _ in $(seq 1 50); do
+    COLUMNS_OUT=$(curl -sf "$BASE/debug/columns")
+    if grep -qE '"observations": [1-9]' <<<"$COLUMNS_OUT"; then
+      TUNED=1
+      break
+    fi
+    sleep 0.1
+  done
+  grep -q '"selftune_enabled": true' <<<"$COLUMNS_OUT" ||
+    fail "HOPS_SELFTUNE=on not reflected in /debug/columns" "$COLUMNS_OUT"
+  [[ "$TUNED" == 1 ]] ||
+    fail "tuning counters never moved after feedback" "$COLUMNS_OUT"
+  # Hot default-bucket values get promoted to explicit entries; explicit
+  # hits get damped in-place adjustments. Either way the histogram moved.
+  grep -qE '"(adjustments|promotions)": [1-9]' <<<"$COLUMNS_OUT" ||
+    fail "observations consumed but histogram never moved" "$COLUMNS_OUT"
+
+  # 2. Accepted updates give recovery real WAL state to replay, not just
+  # the seed catalog. Weight 7's bucket so the estimate visibly moves.
   for i in $(seq 1 40); do
-    curl -sf -X POST "http://127.0.0.1:$SERVE_PORT/update" \
+    curl -sf -X POST "$BASE/update" \
       -d "{\"updates\":[{\"table\":\"orders\",\"column\":\"customer_id\",\"value\":$((i % 64)),\"weight\":2.5}]}" \
       >/dev/null
   done
   BEFORE=$(settled_estimate)
 
-  # No SIGTERM courtesy: the whole point is surviving an unclean death.
+  # 3. No SIGTERM courtesy: the point is surviving an unclean death.
   kill -9 "$SERVE_PID"
   wait "$SERVE_PID" 2>/dev/null || true
   SERVE_PID=""
 
-  start_server
+  # 4. Daemon B: warm restart on the same dir, traced.
+  HOPS_SELFTUNE=on boot_daemon --trace-file="$TRACE_OUT"
   AFTER=$(settled_estimate)
-  kill -TERM "$SERVE_PID"
-  wait "$SERVE_PID" 2>/dev/null || true
-  SERVE_PID=""
-  trap - EXIT
-  cleanup_recovery
-
   # Compare the estimate values only: snapshot_version is a process-local
   # RCU counter and legitimately differs across the restart.
   BEFORE_EST=$(grep -o '"estimate": *[0-9.eE+-]*' <<<"$BEFORE" || true)
   AFTER_EST=$(grep -o '"estimate": *[0-9.eE+-]*' <<<"$AFTER" || true)
-  if [[ -z "$BEFORE_EST" || -z "$AFTER_EST" ]]; then
-    echo "recovery smoke: /estimate returned no estimate" >&2
-    echo "  before: $BEFORE" >&2
-    echo "  after:  $AFTER" >&2
-    exit 1
-  fi
-  if [[ "$BEFORE_EST" != "$AFTER_EST" ]]; then
-    echo "recovery smoke: estimate changed across kill -9 + warm restart" >&2
-    echo "  before: $BEFORE_EST" >&2
-    echo "  after:  $AFTER_EST" >&2
-    exit 1
-  fi
-  echo "recovery smoke: estimate bit-identical across kill -9 ($BEFORE_EST)."
-fi
+  [[ -n "$BEFORE_EST" && -n "$AFTER_EST" ]] ||
+    fail "/estimate returned no estimate" "before: $BEFORE
+after:  $AFTER"
+  [[ "$BEFORE_EST" == "$AFTER_EST" ]] ||
+    fail "estimate changed across kill -9 + warm restart" \
+      "before: $BEFORE_EST
+after:  $AFTER_EST"
+  curl -sf "$BASE/debug/wal" | grep -q '"attached": true' ||
+    fail "/debug/wal does not report attached storage after restart"
 
-if [[ "$RUN_TRACE_SMOKE" == 1 ]]; then
-  echo "== Trace smoke (traced serve_estimates, §14 gate) =="
-  cmake -B build -G Ninja
-  cmake --build build --target serve_estimates
-  TRACE_LOG=$(mktemp)
-  TRACE_OUT=$(mktemp /tmp/trace_smoke.XXXXXX.json)
-  ./build/examples/serve_estimates --port=0 --max-seconds=60 \
-    --trace-file="$TRACE_OUT" >"$TRACE_LOG" 2>&1 &
-  SERVE_PID=$!
-  trap 'kill -TERM "$SERVE_PID" 2>/dev/null || true; rm -f "$TRACE_LOG" "$TRACE_OUT"' EXIT
-  SERVE_PORT=""
-  for _ in $(seq 1 50); do
-    SERVE_PORT=$(grep -oE 'serving on 127.0.0.1:[0-9]+' "$TRACE_LOG" \
-      | grep -oE '[0-9]+$' || true)
-    [[ -n "$SERVE_PORT" ]] && break
-    sleep 0.1
+  # 5. The serving and observability surface of B.
+  METRICS_OUT=$(curl -sf "$BASE/metrics")
+  for family in hops_http_requests_total hops_http_request_seconds_bucket \
+      hops_http_connections_total hops_span_duration_seconds_bucket; do
+    grep -q "$family" <<<"$METRICS_OUT" ||
+      fail "family '$family' missing from /metrics"
   done
-  if [[ -z "$SERVE_PORT" ]]; then
-    echo "trace smoke: server never reported a port" >&2
-    cat "$TRACE_LOG" >&2
-    exit 1
-  fi
-
   # A W3C-traced request: sampled flag 01 forces recording regardless of
   # the head-sampling rate, and the trace id must come back in the echo
   # header so a caller can find its own spans.
   TRACE_ID="4bf92f3577b34da6a3ce929d0e0e4736"
-  TRACED_OUT=$(curl -si -X POST "http://127.0.0.1:$SERVE_PORT/estimate" \
-    -H "traceparent: 00-$TRACE_ID-00f067aa0ba902b7-01" \
-    -d '{"specs":[{"kind":"equality","table":"orders","column":"customer_id","value":7}]}')
-  if ! grep -qi "x-hops-trace-id: $TRACE_ID" <<<"$TRACED_OUT"; then
-    echo "trace smoke: trace id not echoed in x-hops-trace-id" >&2
-    echo "$TRACED_OUT" >&2
-    exit 1
-  fi
+  TRACED_OUT=$(curl -si -X POST "$BASE/estimate" \
+    -H "traceparent: 00-$TRACE_ID-00f067aa0ba902b7-01" -d "$ESTIMATE_BODY")
+  grep -qi "x-hops-trace-id: $TRACE_ID" <<<"$TRACED_OUT" ||
+    fail "trace id not echoed in x-hops-trace-id" "$TRACED_OUT"
   # Mixed untraced load so the dump holds more than one request's spans.
   for i in $(seq 1 64); do
-    curl -sf -X POST "http://127.0.0.1:$SERVE_PORT/estimate" \
+    curl -sf -X POST "$BASE/estimate" \
       -d "{\"specs\":[{\"kind\":\"equality\",\"table\":\"orders\",\"column\":\"customer_id\",\"value\":$((i % 32))}]}" \
       >/dev/null
   done
+  curl -sf "$BASE/debug/tracez" | grep -q "$TRACE_ID" ||
+    fail "traced request's spans missing from /debug/tracez"
+  curl -sf "$BASE/debug/logz" | grep -q '"lines"' ||
+    fail "/debug/logz returned no lines array"
+  curl -sf "$BASE/healthz" | grep -q '"ok"' || fail "/healthz not ready"
 
-  TRACEZ_OUT=$(curl -sf "http://127.0.0.1:$SERVE_PORT/debug/tracez")
-  if ! grep -q "$TRACE_ID" <<<"$TRACEZ_OUT"; then
-    echo "trace smoke: traced request's spans missing from /debug/tracez" >&2
-    exit 1
-  fi
-  LOGZ_OUT=$(curl -sf "http://127.0.0.1:$SERVE_PORT/debug/logz")
-  if ! grep -q '"lines"' <<<"$LOGZ_OUT"; then
-    echo "trace smoke: /debug/logz returned no lines array" >&2
-    exit 1
-  fi
-  if ! curl -sf "http://127.0.0.1:$SERVE_PORT/healthz" | grep -q '"ok"'; then
-    echo "trace smoke: /healthz not ready" >&2
-    exit 1
-  fi
-
+  # 6. The shutdown dump must be a well-formed Chrome trace: complete ("X")
+  # events sorted by start time, carrying the span tree a viewer needs.
   kill -TERM "$SERVE_PID"
   wait "$SERVE_PID"
-  trap - EXIT
-
-  # The shutdown dump must be a well-formed Chrome trace: complete ("X")
-  # events sorted by start time, carrying the span tree a viewer needs.
+  SERVE_PID=""
   python3 - "$TRACE_OUT" "$TRACE_ID" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -436,91 +395,10 @@ assert traced, "forced-sample trace id missing from dump"
 print(f"trace dump: {len(events)} events, {len(names)} span names, "
       f"{len(traced)} spans under the forced trace id.")
 PY
-  rm -f "$TRACE_LOG" "$TRACE_OUT"
-  echo "trace smoke: traceparent echoed, tracez/logz/healthz live, dump valid."
-fi
-
-if [[ "$RUN_PROBE_SMOKE" == 1 ]]; then
-  echo "== Probe smoke (bench_estimation --quick, §12 gates) =="
-  cmake -B build -G Ninja
-  cmake --build build --target bench_estimation
-  PROBE_OUT=$(mktemp /tmp/probe_smoke.XXXXXX.json)
-  ./build/bench/bench_estimation "$PROBE_OUT" --quick
-  assert_estimation_gates "$PROBE_OUT"
-  rm -f "$PROBE_OUT"
-  echo "probe smoke: all §12 gates hold."
-fi
-
-if [[ "$RUN_SELFTUNE_SMOKE" == 1 ]]; then
-  echo "== Selftune smoke (serve_estimates with HOPS_SELFTUNE=on, §15 gate) =="
-  cmake -B build -G Ninja
-  cmake --build build --target serve_estimates
-  TUNE_LOG=$(mktemp)
-  HOPS_SELFTUNE=on ./build/examples/serve_estimates --port=0 --max-seconds=60 \
-    >"$TUNE_LOG" 2>&1 &
-  SERVE_PID=$!
-  trap 'kill -TERM "$SERVE_PID" 2>/dev/null || true; rm -f "$TUNE_LOG"' EXIT
-  SERVE_PORT=""
-  for _ in $(seq 1 50); do
-    SERVE_PORT=$(grep -oE 'serving on 127.0.0.1:[0-9]+' "$TUNE_LOG" \
-      | grep -oE '[0-9]+$' || true)
-    [[ -n "$SERVE_PORT" ]] && break
-    sleep 0.1
-  done
-  if [[ -z "$SERVE_PORT" ]]; then
-    echo "selftune smoke: server never reported a port" >&2
-    cat "$TUNE_LOG" >&2
-    exit 1
-  fi
-
-  # Heavily skewed outcomes: the served estimate is far off the reported
-  # actual on every record, so the tuner has real error to fold in.
-  FEEDBACK_OUT=$(curl -sf -X POST "http://127.0.0.1:$SERVE_PORT/feedback" \
-    -d '{"reports":[
-      {"kind":"equality","table":"orders","column":"customer_id","value":3,"estimated":2.0,"actual":600.0},
-      {"kind":"equality","table":"orders","column":"customer_id","value":7,"estimated":4.0,"actual":450.0},
-      {"kind":"equality","table":"orders","column":"item_id","value":11,"estimated":1.0,"actual":300.0}
-    ]}')
-  if ! grep -q '"accepted": 3' <<<"$FEEDBACK_OUT"; then
-    echo "selftune smoke: /feedback did not accept all records: $FEEDBACK_OUT" >&2
-    exit 1
-  fi
-
-  # The refresh daemon ticks every 10ms and folds buffered outcomes into
-  # the histograms; poll /debug/columns until the tuning counters move.
-  COLUMNS_OUT=""
-  TUNED=0
-  for _ in $(seq 1 50); do
-    COLUMNS_OUT=$(curl -sf "http://127.0.0.1:$SERVE_PORT/debug/columns")
-    if grep -qE '"observations": [1-9]' <<<"$COLUMNS_OUT"; then
-      TUNED=1
-      break
-    fi
-    sleep 0.1
-  done
-  if ! grep -q '"selftune_enabled": true' <<<"$COLUMNS_OUT"; then
-    echo "selftune smoke: HOPS_SELFTUNE=on not reflected in /debug/columns" >&2
-    echo "$COLUMNS_OUT" >&2
-    exit 1
-  fi
-  if [[ "$TUNED" != 1 ]]; then
-    echo "selftune smoke: tuning counters never moved after feedback" >&2
-    echo "$COLUMNS_OUT" >&2
-    exit 1
-  fi
-  # The hot default-bucket values get promoted to explicit entries; explicit
-  # hits get damped in-place adjustments. Either way the histogram moved.
-  if ! grep -qE '"(adjustments|promotions)": [1-9]' <<<"$COLUMNS_OUT"; then
-    echo "selftune smoke: observations consumed but histogram never moved" >&2
-    echo "$COLUMNS_OUT" >&2
-    exit 1
-  fi
-
-  kill -TERM "$SERVE_PID"
-  wait "$SERVE_PID"
   trap - EXIT
-  rm -f "$TUNE_LOG"
-  echo "selftune smoke: feedback accepted, tuning counters moved in /debug/columns."
+  cleanup_daemon
+  echo "daemon smoke: tuned on feedback, estimate bit-identical across" \
+    "kill -9 ($BEFORE_EST), metrics/trace/logz/healthz live, dump valid."
 fi
 
 echo "All checks passed."

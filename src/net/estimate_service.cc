@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <unordered_map>
 
 #include "engine/statistics.h"
@@ -52,37 +53,262 @@ HttpResponse JsonResponse(int status, const JsonWriter& writer) {
   return response;
 }
 
+/// Entries per /estimate, /feedback or /update request; a larger batch is
+/// refused with 413 before any work is done.
+constexpr size_t kMaxBatchEntries = 4096;
+
+Status CheckBatchSize(size_t entries, std::string_view noun) {
+  if (entries <= kMaxBatchEntries) return Status::OK();
+  return Status::ResourceExhausted("too many " + std::string(noun) +
+                                   " in one request");
+}
+
+/// A request refused as a whole: 413 for an oversized batch, 400 for a
+/// body that does not decode.
+HttpResponse Refusal(const Status& status) {
+  return MakeErrorResponse(status.IsResourceExhausted() ? 413 : 400,
+                           status.message());
+}
+
+/// The head /estimate, /feedback and /update share: parses \p body into
+/// \p document and points \p entries at its top-level \p key array.
+Status ParseBatch(std::string_view body, std::string_view key,
+                  JsonValue* document, std::span<const JsonValue>* entries) {
+  HOPS_ASSIGN_OR_RETURN(*document, ParseJson(body));
+  const JsonValue* array = document->Find(key);
+  if (array == nullptr || !array->is_array()) {
+    const bool vowel = std::string_view("aeiou").find(key.front()) !=
+                       std::string_view::npos;
+    return Status::InvalidArgument("body needs " +
+                                   std::string(vowel ? "an" : "a") + " \"" +
+                                   std::string(key) + "\" array");
+  }
+  *entries = array->AsArray();
+  return CheckBatchSize(entries->size(), key);
+}
+
+/// The binary framing's decode step. Structural failures answer in JSON: a
+/// client broken enough to send a bad frame needs a readable error, and
+/// the 400 status already says the body is not a response frame.
+Status DecodeFrame(std::string_view body, std::vector<WireSpec>* specs) {
+  HOPS_ASSIGN_OR_RETURN(*specs, DecodeBatchRequest(body));
+  return CheckBatchSize(specs->size(), "specs");
+}
+
+/// Decodes one JSON spec object against \p snapshot (names → dense ids).
+Result<EstimateSpec> ParseSpec(const JsonValue& value,
+                               const CatalogSnapshot& snapshot) {
+  if (!value.is_object()) {
+    return Status::InvalidArgument("spec must be an object");
+  }
+  HOPS_ASSIGN_OR_RETURN(std::string kind, value.GetString("kind"));
+
+  if (kind == "equality" || kind == "not_equals") {
+    HOPS_ASSIGN_OR_RETURN(ColumnId id, ResolveRef(value, snapshot));
+    const JsonValue* literal = value.Find("value");
+    if (literal == nullptr) {
+      return Status::InvalidArgument("spec missing key: value");
+    }
+    HOPS_ASSIGN_OR_RETURN(Value parsed, ParseValueLiteral(*literal));
+    return kind == "equality" ? EstimateSpec::Equality(id, std::move(parsed))
+                              : EstimateSpec::NotEquals(id, std::move(parsed));
+  }
+
+  if (kind == "in") {
+    HOPS_ASSIGN_OR_RETURN(ColumnId id, ResolveRef(value, snapshot));
+    const JsonValue* values = value.Find("values");
+    if (values == nullptr || !values->is_array()) {
+      return Status::InvalidArgument("in spec needs a \"values\" array");
+    }
+    std::vector<Value> in_list;
+    in_list.reserve(values->AsArray().size());
+    for (const JsonValue& element : values->AsArray()) {
+      HOPS_ASSIGN_OR_RETURN(Value parsed, ParseValueLiteral(element));
+      in_list.push_back(std::move(parsed));
+    }
+    return EstimateSpec::In(id, std::move(in_list));
+  }
+
+  if (kind == "range") {
+    HOPS_ASSIGN_OR_RETURN(ColumnId id, ResolveRef(value, snapshot));
+    RangeBounds bounds;
+    HOPS_ASSIGN_OR_RETURN(bounds.low, value.GetInt("low"));
+    HOPS_ASSIGN_OR_RETURN(bounds.high, value.GetInt("high"));
+    if (value.Find("include_low") != nullptr) {
+      HOPS_ASSIGN_OR_RETURN(bounds.include_low, value.GetBool("include_low"));
+    }
+    if (value.Find("include_high") != nullptr) {
+      HOPS_ASSIGN_OR_RETURN(bounds.include_high,
+                            value.GetBool("include_high"));
+    }
+    return EstimateSpec::Range(id, bounds);
+  }
+
+  if (kind == "join") {
+    const JsonValue* left = value.Find("left");
+    const JsonValue* right = value.Find("right");
+    if (left == nullptr || right == nullptr) {
+      return Status::InvalidArgument("join spec needs \"left\" and \"right\"");
+    }
+    HOPS_ASSIGN_OR_RETURN(ColumnId left_id, ResolveRef(*left, snapshot));
+    HOPS_ASSIGN_OR_RETURN(ColumnId right_id, ResolveRef(*right, snapshot));
+    return EstimateSpec::Join(left_id, right_id);
+  }
+
+  if (kind == "chain") {
+    const JsonValue* steps = value.Find("steps");
+    if (steps == nullptr || !steps->is_array()) {
+      return Status::InvalidArgument("chain spec needs a \"steps\" array");
+    }
+    std::vector<SnapshotChainStep> chain;
+    chain.reserve(steps->AsArray().size());
+    for (const JsonValue& step : steps->AsArray()) {
+      if (!step.is_object()) {
+        return Status::InvalidArgument("chain step must be an object");
+      }
+      const JsonValue* left = step.Find("left");
+      const JsonValue* right = step.Find("right");
+      if (left == nullptr || right == nullptr) {
+        return Status::InvalidArgument(
+            "chain step needs \"left\" and \"right\"");
+      }
+      SnapshotChainStep resolved;
+      HOPS_ASSIGN_OR_RETURN(resolved.left, ResolveRef(*left, snapshot));
+      HOPS_ASSIGN_OR_RETURN(resolved.right, ResolveRef(*right, snapshot));
+      chain.push_back(resolved);
+    }
+    return EstimateSpec::Chain(std::move(chain));
+  }
+
+  return Status::InvalidArgument("unknown spec kind: " + kind);
+}
+
+/// Resolves one binary-framed spec against \p snapshot. The decoder has
+/// already rejected malformed records, so only a name can fail here.
+Result<EstimateSpec> ResolveWireSpec(const WireSpec& wire,
+                                     const CatalogSnapshot& snapshot) {
+  HOPS_ASSIGN_OR_RETURN(ColumnId id, snapshot.Resolve(wire.table, wire.column));
+  switch (wire.kind) {
+    case WireSpec::Kind::kEquality:
+    case WireSpec::Kind::kNotEquals: {
+      Value literal =
+          wire.value_is_string ? Value(wire.value_string) : Value(wire.a);
+      return wire.kind == WireSpec::Kind::kEquality
+                 ? EstimateSpec::Equality(id, std::move(literal))
+                 : EstimateSpec::NotEquals(id, std::move(literal));
+    }
+    case WireSpec::Kind::kRange:
+      return EstimateSpec::Range(
+          id, RangeBounds{wire.a, wire.b, wire.include_low, wire.include_high});
+    case WireSpec::Kind::kJoin: {
+      HOPS_ASSIGN_OR_RETURN(
+          ColumnId right,
+          snapshot.Resolve(wire.right_table, wire.right_column));
+      return EstimateSpec::Join(id, right);
+    }
+  }
+  return Status::InvalidArgument("unreachable: decoder rejects the kind");
+}
+
+/// One request entry's place in an /estimate batch: the index of its
+/// resolved spec, or the reason it did not resolve.
+using Slot = Result<size_t>;
+
+/// {"snapshot_version", "results": [{"estimate" | "error"}]}, one result
+/// per slot. Estimates render with %.17g, so they round-trip bit-identically.
+HttpResponse EncodeJson(uint64_t snapshot_version, std::span<const Slot> slots,
+                        std::span<const Result<double>> results) {
+  JsonWriter writer;
+  writer.BeginObject();
+  writer.Key("snapshot_version");
+  writer.UInt(snapshot_version);
+  writer.Key("results");
+  writer.BeginArray();
+  for (const Slot& slot : slots) {
+    const Result<double>* result = slot.ok() ? &results[*slot] : nullptr;
+    writer.BeginObject();
+    if (result != nullptr && result->ok()) {
+      writer.Key("estimate");
+      writer.Double(**result);
+    } else {
+      writer.Key("error");
+      writer.String((result != nullptr ? result->status() : slot.status())
+                        .message());
+    }
+    writer.EndObject();
+  }
+  writer.EndArray();
+  writer.EndObject();
+  return JsonResponse(200, writer);
+}
+
+/// The binary response frame: raw doubles, so estimates are bit-identical
+/// by construction. A slot that did not resolve is kUnknownColumn; one the
+/// estimator rejected is kEstimateFailed.
+HttpResponse EncodeFrame(uint64_t snapshot_version,
+                         std::span<const Slot> slots,
+                         std::span<const Result<double>> results) {
+  std::vector<WireResult> records(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (!slots[i].ok()) {
+      records[i].status = WireStatus::kUnknownColumn;
+    } else if (const Result<double>& result = results[*slots[i]];
+               result.ok()) {
+      records[i].estimate = *result;
+    } else {
+      records[i].status = WireStatus::kEstimateFailed;
+    }
+  }
+  HttpResponse response;
+  response.content_type = std::string(kBatchContentType);
+  response.body = EncodeBatchResponse(snapshot_version, records);
+  return response;
+}
+
 }  // namespace
 
 EstimateService::EstimateService(EstimateServiceOptions options)
     : options_(options),
       registry_(options.registry != nullptr
                     ? options.registry
-                    : &telemetry::MetricRegistry::Global()) {
-  metrics_ = MakeEndpoint("/metrics");
-  metrics_json_ = MakeEndpoint("/metrics.json");
-  healthz_ = MakeEndpoint("/healthz");
-  estimate_ = MakeEndpoint("/estimate");
-  feedback_ = MakeEndpoint("/feedback");
-  update_ = MakeEndpoint("/update");
-  tracez_ = MakeEndpoint("/debug/tracez");
-  logz_ = MakeEndpoint("/debug/logz");
-  columns_ = MakeEndpoint("/debug/columns");
-  snapshots_ = MakeEndpoint("/debug/snapshots");
-  wal_ = MakeEndpoint("/debug/wal");
-  other_ = MakeEndpoint("other");
-}
+                    : &telemetry::MetricRegistry::Global()),
+      endpoints_{
+          MakeEndpoint("/metrics", "GET", &EstimateService::HandleMetrics),
+          MakeEndpoint("/metrics.json", "GET",
+                       &EstimateService::HandleMetricsJson),
+          MakeEndpoint("/healthz", "GET", &EstimateService::HandleHealthz),
+          MakeEndpoint("/estimate", "POST", &EstimateService::HandleEstimate),
+          MakeEndpoint("/feedback", "POST", &EstimateService::HandleFeedback),
+          MakeEndpoint("/update", "POST", &EstimateService::HandleUpdate),
+          MakeEndpoint("/debug/tracez", "GET",
+                       &EstimateService::HandleTracez),
+          MakeEndpoint("/debug/logz", "GET", &EstimateService::HandleLogz),
+          MakeEndpoint("/debug/columns", "GET",
+                       &EstimateService::HandleColumns),
+          MakeEndpoint("/debug/snapshots", "GET",
+                       &EstimateService::HandleSnapshots),
+          MakeEndpoint("/debug/wal", "GET", &EstimateService::HandleWal),
+      },
+      other_(MakeEndpoint("other", "", nullptr)) {}
 
-EstimateService::Endpoint EstimateService::MakeEndpoint(
-    const std::string& path) {
+EstimateService::Endpoint EstimateService::MakeEndpoint(std::string path,
+                                                        std::string method,
+                                                        Handler handler) {
   Endpoint endpoint;
-  endpoint.path = path;
   endpoint.latency = registry_->GetHistogram(
       "hops_http_request_seconds", "Request handling latency by endpoint",
       telemetry::LogBucketSpec::Latency(), {{"endpoint", path}});
   endpoint.span =
       &telemetry::GetSpanSite("Net.Request", {{"endpoint", path}}, registry_);
+  endpoint.path = std::move(path);
+  endpoint.method = std::move(method);
+  endpoint.handler = handler;
   return endpoint;
+}
+
+telemetry::TraceRecorder* EstimateService::recorder() const {
+  return options_.recorder != nullptr ? options_.recorder
+                                      : telemetry::TraceRecorder::Current();
 }
 
 void EstimateService::CountRequest(const std::string& endpoint, int status) {
@@ -94,7 +320,7 @@ void EstimateService::CountRequest(const std::string& endpoint, int status) {
 }
 
 HttpResponse EstimateService::Handle(const HttpRequest& request) {
-  Endpoint* endpoint = &other_;
+  const Endpoint* endpoint = &other_;
   const int64_t start_nanos = NowNanos();
 
   // Trace ingress (DESIGN.md §14): adopt the client's traceparent or mint
@@ -102,9 +328,7 @@ HttpResponse EstimateService::Handle(const HttpRequest& request) {
   // an explicit incoming sampled flag forces recording), and install the
   // context for the request's dynamic extent so every span below — across
   // pool workers too — joins this request's tree.
-  telemetry::TraceRecorder* recorder =
-      options_.recorder != nullptr ? options_.recorder
-                                   : telemetry::TraceRecorder::Current();
+  telemetry::TraceRecorder* recorder = this->recorder();
   telemetry::TraceContext context;
   bool client_requested_sampling = false;
   if (const std::string* header = request.FindHeader("traceparent");
@@ -175,83 +399,23 @@ HttpResponse EstimateService::Handle(const HttpRequest& request) {
 }
 
 HttpResponse EstimateService::Route(const HttpRequest& request,
-                                    Endpoint** endpoint) {
-  if (request.target == "/metrics") {
-    *endpoint = &metrics_;
-    telemetry::TraceSpan span(*metrics_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleMetrics();
-  }
-  if (request.target == "/metrics.json") {
-    *endpoint = &metrics_json_;
-    telemetry::TraceSpan span(*metrics_json_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleMetricsJson();
-  }
-  if (request.target == "/healthz") {
-    *endpoint = &healthz_;
-    telemetry::TraceSpan span(*healthz_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleHealthz();
-  }
-  if (request.target == "/debug/tracez") {
-    *endpoint = &tracez_;
-    telemetry::TraceSpan span(*tracez_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleTracez(options_.recorder != nullptr
-                            ? options_.recorder
-                            : telemetry::TraceRecorder::Current());
-  }
-  if (request.target == "/debug/logz") {
-    *endpoint = &logz_;
-    telemetry::TraceSpan span(*logz_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleLogz();
-  }
-  if (request.target == "/debug/columns") {
-    *endpoint = &columns_;
-    telemetry::TraceSpan span(*columns_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleColumns();
-  }
-  if (request.target == "/debug/snapshots") {
-    *endpoint = &snapshots_;
-    telemetry::TraceSpan span(*snapshots_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleSnapshots();
-  }
-  if (request.target == "/debug/wal") {
-    *endpoint = &wal_;
-    telemetry::TraceSpan span(*wal_.span);
-    if (request.method != "GET") return MakeErrorResponse(405, "use GET");
-    return HandleWal();
-  }
-  if (request.target == "/estimate") {
-    *endpoint = &estimate_;
-    telemetry::TraceSpan span(*estimate_.span);
-    if (span.emitting()) {
+                                    const Endpoint** endpoint) const {
+  for (const Endpoint& route : endpoints_) {
+    if (request.target != route.path) continue;
+    *endpoint = &route;
+    telemetry::TraceSpan span(*route.span);
+    if (span.emitting() && route.method == "POST") {
       span.SetDetail("bytes=" + std::to_string(request.body.size()));
     }
-    if (request.method != "POST") return MakeErrorResponse(405, "use POST");
-    return HandleEstimate(request);
+    if (request.method != route.method) {
+      return MakeErrorResponse(405, "use " + route.method);
+    }
+    return (this->*route.handler)(request);
   }
-  if (request.target == "/feedback") {
-    *endpoint = &feedback_;
-    telemetry::TraceSpan span(*feedback_.span);
-    if (request.method != "POST") return MakeErrorResponse(405, "use POST");
-    return HandleFeedback(request);
-  }
-  if (request.target == "/update") {
-    *endpoint = &update_;
-    telemetry::TraceSpan span(*update_.span);
-    if (request.method != "POST") return MakeErrorResponse(405, "use POST");
-    return HandleUpdate(request);
-  }
-  *endpoint = &other_;
   return MakeErrorResponse(404, "unknown endpoint: " + request.target);
 }
 
-HttpResponse EstimateService::HandleMetrics() const {
+HttpResponse EstimateService::HandleMetrics(const HttpRequest&) const {
   telemetry::UpdateProcessMetrics(registry_);  // scrape-fresh /proc gauges
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -259,7 +423,7 @@ HttpResponse EstimateService::HandleMetrics() const {
   return response;
 }
 
-HttpResponse EstimateService::HandleMetricsJson() const {
+HttpResponse EstimateService::HandleMetricsJson(const HttpRequest&) const {
   telemetry::UpdateProcessMetrics(registry_);
   HttpResponse response;
   response.body = telemetry::RenderJson(registry_->Collect());
@@ -267,7 +431,7 @@ HttpResponse EstimateService::HandleMetricsJson() const {
   return response;
 }
 
-HttpResponse EstimateService::HandleHealthz() const {
+HttpResponse EstimateService::HandleHealthz(const HttpRequest&) const {
   // Readiness gates on the first REAL publication, not on snapshot
   // contents: a load balancer must hold traffic while the process is still
   // replaying its WAL or compiling its first catalog, and an intentionally
@@ -312,8 +476,8 @@ HttpResponse EstimateService::HandleHealthz() const {
   return JsonResponse(ready ? 200 : 503, writer);
 }
 
-HttpResponse EstimateService::HandleTracez(
-    telemetry::TraceRecorder* recorder) const {
+HttpResponse EstimateService::HandleTracez(const HttpRequest&) const {
+  telemetry::TraceRecorder* recorder = this->recorder();
   if (recorder == nullptr) {
     return MakeErrorResponse(503, "no trace recorder installed");
   }
@@ -323,7 +487,7 @@ HttpResponse EstimateService::HandleTracez(
   return response;
 }
 
-HttpResponse EstimateService::HandleLogz() const {
+HttpResponse EstimateService::HandleLogz(const HttpRequest&) const {
   const telemetry::LogBuffer& buffer = telemetry::LogBuffer::Global();
   const std::vector<std::string> lines = buffer.Snapshot();
   JsonWriter writer;
@@ -340,7 +504,7 @@ HttpResponse EstimateService::HandleLogz() const {
   return JsonResponse(200, writer);
 }
 
-HttpResponse EstimateService::HandleColumns() const {
+HttpResponse EstimateService::HandleColumns(const HttpRequest&) const {
   const std::shared_ptr<const CatalogSnapshot> snapshot =
       options_.store->Current();
 
@@ -458,7 +622,7 @@ HttpResponse EstimateService::HandleColumns() const {
   return JsonResponse(200, writer);
 }
 
-HttpResponse EstimateService::HandleSnapshots() const {
+HttpResponse EstimateService::HandleSnapshots(const HttpRequest&) const {
   const std::shared_ptr<const CatalogSnapshot> snapshot =
       options_.store->Current();
   // The estimate-cache counters live in the process-wide registry (the
@@ -512,7 +676,7 @@ HttpResponse EstimateService::HandleSnapshots() const {
   return JsonResponse(200, writer);
 }
 
-HttpResponse EstimateService::HandleWal() const {
+HttpResponse EstimateService::HandleWal(const HttpRequest&) const {
   JsonWriter writer;
   writer.BeginObject();
   if (!options_.storage_debug) {
@@ -556,119 +720,23 @@ HttpResponse EstimateService::HandleWal() const {
   return JsonResponse(200, writer);
 }
 
-Result<EstimateSpec> EstimateService::ParseSpec(
-    const JsonValue& value, const CatalogSnapshot& snapshot) const {
-  if (!value.is_object()) {
-    return Status::InvalidArgument("spec must be an object");
-  }
-  HOPS_ASSIGN_OR_RETURN(std::string kind, value.GetString("kind"));
-
-  if (kind == "equality" || kind == "not_equals") {
-    HOPS_ASSIGN_OR_RETURN(std::string table, value.GetString("table"));
-    HOPS_ASSIGN_OR_RETURN(std::string column, value.GetString("column"));
-    HOPS_ASSIGN_OR_RETURN(ColumnId id, snapshot.Resolve(table, column));
-    const JsonValue* literal = value.Find("value");
-    if (literal == nullptr) {
-      return Status::InvalidArgument("spec missing key: value");
-    }
-    HOPS_ASSIGN_OR_RETURN(Value parsed, ParseValueLiteral(*literal));
-    return kind == "equality" ? EstimateSpec::Equality(id, std::move(parsed))
-                              : EstimateSpec::NotEquals(id, std::move(parsed));
-  }
-
-  if (kind == "in") {
-    HOPS_ASSIGN_OR_RETURN(std::string table, value.GetString("table"));
-    HOPS_ASSIGN_OR_RETURN(std::string column, value.GetString("column"));
-    HOPS_ASSIGN_OR_RETURN(ColumnId id, snapshot.Resolve(table, column));
-    const JsonValue* values = value.Find("values");
-    if (values == nullptr || !values->is_array()) {
-      return Status::InvalidArgument("in spec needs a \"values\" array");
-    }
-    std::vector<Value> in_list;
-    in_list.reserve(values->AsArray().size());
-    for (const JsonValue& element : values->AsArray()) {
-      HOPS_ASSIGN_OR_RETURN(Value parsed, ParseValueLiteral(element));
-      in_list.push_back(std::move(parsed));
-    }
-    return EstimateSpec::In(id, std::move(in_list));
-  }
-
-  if (kind == "range") {
-    HOPS_ASSIGN_OR_RETURN(std::string table, value.GetString("table"));
-    HOPS_ASSIGN_OR_RETURN(std::string column, value.GetString("column"));
-    HOPS_ASSIGN_OR_RETURN(ColumnId id, snapshot.Resolve(table, column));
-    RangeBounds bounds;
-    HOPS_ASSIGN_OR_RETURN(bounds.low, value.GetInt("low"));
-    HOPS_ASSIGN_OR_RETURN(bounds.high, value.GetInt("high"));
-    if (value.Find("include_low") != nullptr) {
-      HOPS_ASSIGN_OR_RETURN(bounds.include_low, value.GetBool("include_low"));
-    }
-    if (value.Find("include_high") != nullptr) {
-      HOPS_ASSIGN_OR_RETURN(bounds.include_high,
-                            value.GetBool("include_high"));
-    }
-    return EstimateSpec::Range(id, bounds);
-  }
-
-  if (kind == "join") {
-    const JsonValue* left = value.Find("left");
-    const JsonValue* right = value.Find("right");
-    if (left == nullptr || right == nullptr) {
-      return Status::InvalidArgument("join spec needs \"left\" and \"right\"");
-    }
-    HOPS_ASSIGN_OR_RETURN(ColumnId left_id, ResolveRef(*left, snapshot));
-    HOPS_ASSIGN_OR_RETURN(ColumnId right_id, ResolveRef(*right, snapshot));
-    return EstimateSpec::Join(left_id, right_id);
-  }
-
-  if (kind == "chain") {
-    const JsonValue* steps = value.Find("steps");
-    if (steps == nullptr || !steps->is_array()) {
-      return Status::InvalidArgument("chain spec needs a \"steps\" array");
-    }
-    std::vector<SnapshotChainStep> chain;
-    chain.reserve(steps->AsArray().size());
-    for (const JsonValue& step : steps->AsArray()) {
-      if (!step.is_object()) {
-        return Status::InvalidArgument("chain step must be an object");
-      }
-      const JsonValue* left = step.Find("left");
-      const JsonValue* right = step.Find("right");
-      if (left == nullptr || right == nullptr) {
-        return Status::InvalidArgument(
-            "chain step needs \"left\" and \"right\"");
-      }
-      SnapshotChainStep resolved;
-      HOPS_ASSIGN_OR_RETURN(resolved.left, ResolveRef(*left, snapshot));
-      HOPS_ASSIGN_OR_RETURN(resolved.right, ResolveRef(*right, snapshot));
-      chain.push_back(resolved);
-    }
-    return EstimateSpec::Chain(std::move(chain));
-  }
-
-  return Status::InvalidArgument("unknown spec kind: " + kind);
-}
-
-HttpResponse EstimateService::HandleEstimate(const HttpRequest& request) {
-  // Content-Type negotiation: the binary framing shares the endpoint (and
-  // its metrics/span identity) with the JSON one.
+HttpResponse EstimateService::HandleEstimate(
+    const HttpRequest& request) const {
+  // Decode: the names each slot carries, from whichever framing the
+  // Content-Type names. A body that does not decode, or one past
+  // kMaxBatchEntries, is refused as a whole.
   const std::string* content_type = request.FindHeader("Content-Type");
-  if (content_type != nullptr &&
-      std::string_view(*content_type).starts_with(kBatchContentType)) {
-    return HandleEstimateBinary(request);
-  }
-  Result<JsonValue> document = ParseJson(request.body);
-  if (!document.ok()) {
-    return MakeErrorResponse(400, document.status().message());
-  }
-  const JsonValue* specs_json = document->Find("specs");
-  if (specs_json == nullptr || !specs_json->is_array()) {
-    return MakeErrorResponse(400, "body needs a \"specs\" array");
-  }
-  const JsonValue::Array& entries = specs_json->AsArray();
-  if (entries.size() > options_.max_specs_per_request) {
-    return MakeErrorResponse(413, "too many specs in one request");
-  }
+  const bool binary =
+      content_type != nullptr &&
+      std::string_view(*content_type).starts_with(kBatchContentType);
+  JsonValue document;
+  std::span<const JsonValue> json_specs;
+  std::vector<WireSpec> wire_specs;
+  const Status decoded =
+      binary ? DecodeFrame(request.body, &wire_specs)
+             : ParseBatch(request.body, "specs", &document, &json_specs);
+  if (!decoded.ok()) return Refusal(decoded);
+  const size_t count = binary ? wire_specs.size() : json_specs.size();
 
   // One snapshot read covers the whole batch: every estimate (and the
   // reported version) sees a single consistent statistics version even if
@@ -676,147 +744,42 @@ HttpResponse EstimateService::HandleEstimate(const HttpRequest& request) {
   const std::shared_ptr<const CatalogSnapshot> snapshot =
       options_.store->Current();
 
-  // Decode failures keep their slot so results align with request specs.
+  // Resolve each slot with its framing's resolver. A slot that fails keeps
+  // its place, so results align with the request's entries.
   std::vector<EstimateSpec> specs;
-  specs.reserve(entries.size());
-  std::vector<std::pair<size_t, std::string>> decode_errors;
-  std::vector<size_t> spec_slot(entries.size(), SIZE_MAX);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    Result<EstimateSpec> spec = ParseSpec(entries[i], *snapshot);
+  specs.reserve(count);
+  std::vector<Slot> slots;
+  slots.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    Result<EstimateSpec> spec =
+        binary ? ResolveWireSpec(wire_specs[i], *snapshot)
+               : ParseSpec(json_specs[i], *snapshot);
     if (!spec.ok()) {
-      decode_errors.emplace_back(i, std::string(spec.status().message()));
+      slots.emplace_back(std::move(spec).status());
       continue;
     }
-    spec_slot[i] = specs.size();
+    slots.emplace_back(specs.size());
     specs.push_back(std::move(spec).ValueOrDie());
   }
 
   const std::vector<Result<double>> results =
       EstimateBatch(*snapshot, specs, options_.pool);
 
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("snapshot_version");
-  writer.UInt(snapshot->source_version());
-  writer.Key("results");
-  writer.BeginArray();
-  size_t next_decode_error = 0;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    writer.BeginObject();
-    if (spec_slot[i] == SIZE_MAX) {
-      writer.Key("error");
-      writer.String(decode_errors[next_decode_error++].second);
-    } else {
-      const Result<double>& result = results[spec_slot[i]];
-      if (result.ok()) {
-        writer.Key("estimate");
-        writer.Double(result.ValueOrDie());  // %.17g: round-trips bit-identically
-      } else {
-        writer.Key("error");
-        writer.String(std::string(result.status().message()));
-      }
-    }
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.EndObject();
-  return JsonResponse(200, writer);
+  return binary ? EncodeFrame(snapshot->source_version(), slots, results)
+                : EncodeJson(snapshot->source_version(), slots, results);
 }
 
-HttpResponse EstimateService::HandleEstimateBinary(const HttpRequest& request) {
-  Result<std::vector<WireSpec>> decoded = DecodeBatchRequest(request.body);
-  if (!decoded.ok()) {
-    // Structural failures speak JSON: a client broken enough to send a bad
-    // frame needs a readable error, and the 400 status already signals the
-    // body is not a response frame.
-    return MakeErrorResponse(400, decoded.status().message());
-  }
-  const std::vector<WireSpec>& wire_specs = *decoded;
-  if (wire_specs.size() > options_.max_specs_per_request) {
-    return MakeErrorResponse(413, "too many specs in one request");
-  }
-
-  const std::shared_ptr<const CatalogSnapshot> snapshot =
-      options_.store->Current();
-
-  // Same slot-alignment contract as the JSON path: resolution failures keep
-  // their result record, flagged kUnknownColumn.
-  std::vector<EstimateSpec> specs;
-  specs.reserve(wire_specs.size());
-  std::vector<WireResult> records(wire_specs.size());
-  std::vector<size_t> spec_slot(wire_specs.size(), SIZE_MAX);
-  for (size_t i = 0; i < wire_specs.size(); ++i) {
-    const WireSpec& wire = wire_specs[i];
-    Result<EstimateSpec> resolved = [&]() -> Result<EstimateSpec> {
-      switch (wire.kind) {
-        case WireSpec::Kind::kEquality:
-        case WireSpec::Kind::kNotEquals: {
-          HOPS_ASSIGN_OR_RETURN(ColumnId id,
-                                snapshot->Resolve(wire.table, wire.column));
-          Value literal = wire.value_is_string ? Value(wire.value_string)
-                                               : Value(wire.a);
-          return wire.kind == WireSpec::Kind::kEquality
-                     ? EstimateSpec::Equality(id, std::move(literal))
-                     : EstimateSpec::NotEquals(id, std::move(literal));
-        }
-        case WireSpec::Kind::kRange: {
-          HOPS_ASSIGN_OR_RETURN(ColumnId id,
-                                snapshot->Resolve(wire.table, wire.column));
-          return EstimateSpec::Range(
-              id, RangeBounds{wire.a, wire.b, wire.include_low,
-                              wire.include_high});
-        }
-        case WireSpec::Kind::kJoin: {
-          HOPS_ASSIGN_OR_RETURN(ColumnId left,
-                                snapshot->Resolve(wire.table, wire.column));
-          HOPS_ASSIGN_OR_RETURN(
-              ColumnId right,
-              snapshot->Resolve(wire.right_table, wire.right_column));
-          return EstimateSpec::Join(left, right);
-        }
-      }
-      return Status::InvalidArgument("unreachable: decoder rejects the kind");
-    }();
-    if (!resolved.ok()) {
-      records[i].status = WireStatus::kUnknownColumn;
-      continue;
-    }
-    spec_slot[i] = specs.size();
-    specs.push_back(std::move(resolved).ValueOrDie());
-  }
-
-  const std::vector<Result<double>> results =
-      EstimateBatch(*snapshot, specs, options_.pool);
-  for (size_t i = 0; i < wire_specs.size(); ++i) {
-    if (spec_slot[i] == SIZE_MAX) continue;
-    const Result<double>& result = results[spec_slot[i]];
-    if (result.ok()) {
-      records[i].estimate = result.ValueOrDie();  // raw bits: bit-identical
-    } else {
-      records[i].status = WireStatus::kEstimateFailed;
-    }
-  }
-
-  HttpResponse response;
-  response.content_type = std::string(kBatchContentType);
-  response.body = EncodeBatchResponse(snapshot->source_version(), records);
-  return response;
-}
-
-HttpResponse EstimateService::HandleFeedback(const HttpRequest& request) {
+HttpResponse EstimateService::HandleFeedback(
+    const HttpRequest& request) const {
   if (options_.feedback == nullptr) {
     return MakeErrorResponse(503, "no feedback sink configured");
   }
-  Result<JsonValue> document = ParseJson(request.body);
-  if (!document.ok()) {
-    return MakeErrorResponse(400, document.status().message());
-  }
-  const JsonValue* reports = document->Find("reports");
-  if (reports == nullptr || !reports->is_array()) {
-    return MakeErrorResponse(400, "body needs a \"reports\" array");
-  }
-  if (reports->AsArray().size() > options_.max_specs_per_request) {
-    return MakeErrorResponse(413, "too many reports in one request");
+  JsonValue document;
+  std::span<const JsonValue> entries;
+  if (const Status parsed =
+          ParseBatch(request.body, "reports", &document, &entries);
+      !parsed.ok()) {
+    return Refusal(parsed);
   }
 
   const std::shared_ptr<const CatalogSnapshot> snapshot =
@@ -828,7 +791,6 @@ HttpResponse EstimateService::HandleFeedback(const HttpRequest& request) {
   // applied, and the response reports both aggregate counts and the
   // per-slot status so clients can retry exactly the failed indices.
   size_t accepted = 0;
-  const JsonValue::Array& entries = reports->AsArray();
   std::vector<Status> slot_status;
   slot_status.reserve(entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
@@ -858,7 +820,7 @@ HttpResponse EstimateService::HandleFeedback(const HttpRequest& request) {
     writer.Bool(status.ok());
     if (!status.ok()) {
       writer.Key("error");
-      writer.String(std::string(status.message()));
+      writer.String(status.message());
     }
     writer.EndObject();
   }
@@ -872,7 +834,7 @@ HttpResponse EstimateService::HandleFeedback(const HttpRequest& request) {
       writer.Key("index");
       writer.UInt(i);
       writer.Key("error");
-      writer.String(std::string(slot_status[i].message()));
+      writer.String(slot_status[i].message());
       writer.EndObject();
     }
     writer.EndArray();
@@ -881,21 +843,17 @@ HttpResponse EstimateService::HandleFeedback(const HttpRequest& request) {
   return JsonResponse(200, writer);
 }
 
-HttpResponse EstimateService::HandleUpdate(const HttpRequest& request) {
+HttpResponse EstimateService::HandleUpdate(
+    const HttpRequest& request) const {
   if (options_.updates == nullptr) {
     return MakeErrorResponse(503, "no refresh manager configured");
   }
-  Result<JsonValue> document = ParseJson(request.body);
-  if (!document.ok()) {
-    return MakeErrorResponse(400, document.status().message());
-  }
-  const JsonValue* updates = document->Find("updates");
-  if (updates == nullptr || !updates->is_array()) {
-    return MakeErrorResponse(400, "body needs an \"updates\" array");
-  }
-  const JsonValue::Array& entries = updates->AsArray();
-  if (entries.size() > options_.max_specs_per_request) {
-    return MakeErrorResponse(413, "too many updates in one request");
+  JsonValue document;
+  std::span<const JsonValue> entries;
+  if (const Status parsed =
+          ParseBatch(request.body, "updates", &document, &entries);
+      !parsed.ok()) {
+    return Refusal(parsed);
   }
 
   // Decode the WHOLE request before admitting anything: the batch goes
@@ -928,8 +886,8 @@ HttpResponse EstimateService::HandleUpdate(const HttpRequest& request) {
       return Status::OK();
     }();
     if (!status.ok()) {
-      return MakeErrorResponse(400, "update " + std::to_string(i) + ": " +
-                                        std::string(status.message()));
+      return MakeErrorResponse(
+          400, "update " + std::to_string(i) + ": " + status.message());
     }
   }
 
@@ -937,7 +895,7 @@ HttpResponse EstimateService::HandleUpdate(const HttpRequest& request) {
   if (!admitted.ok()) {
     // Refused by the durability hook (e.g. a full disk): nothing from this
     // request was applied, and the client should retry elsewhere.
-    return MakeErrorResponse(503, std::string(admitted.message()));
+    return MakeErrorResponse(503, admitted.message());
   }
 
   JsonWriter writer;

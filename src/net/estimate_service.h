@@ -1,5 +1,7 @@
 // HTTP endpoint layer of the serving front-end (DESIGN.md §11): routes the
-// epoll server's complete requests into the estimation subsystems.
+// epoll server's complete requests into the estimation subsystems. Routing
+// is one table of {path, method, handler} rows; a wrong method is 405, an
+// unknown path 404.
 //
 // Endpoint contracts:
 //
@@ -28,19 +30,19 @@
 //                       provider: durability mode, LSN high-water mark,
 //                       segment and fsync counts. {"attached":false} when
 //                       the process runs without --data-dir.
-//   POST /estimate      {"specs":[...]} → resolves each spec against the
-//                       CURRENT RCU CatalogSnapshot and fans the batch
-//                       through EstimateBatch. Per-spec failures are
-//                       reported per slot, never abort the batch. Estimates
-//                       render with 17 significant digits so the wire value
-//                       round-trips bit-identically to the in-process
+//   POST /estimate      One pipeline for both framings. Decode by
+//                       Content-Type: a JSON {"specs":[...]} body, or with
+//                       Content-Type: application/x-hops-batch the binary
+//                       frame of net/wire_format.h (IN-lists and chains
+//                       stay JSON-only). Read the RCU CatalogSnapshot
+//                       ONCE, resolve each entry into one slot-aligned
+//                       batch (a spec, or the reason it failed), run one
+//                       EstimateBatch, and encode in the request's
+//                       framing. A failed slot never aborts the batch.
+//                       JSON estimates render with 17 significant digits
+//                       and binary ones as raw IEEE-754 doubles, so both
+//                       round-trip bit-identically to the in-process
 //                       double (bench_serving proves this).
-//                       With Content-Type: application/x-hops-batch the
-//                       same endpoint speaks the binary framing instead
-//                       (net/wire_format.h): little-endian spec records in,
-//                       raw IEEE-754 doubles out, same slot-aligned
-//                       per-spec error contract. IN-lists and chains stay
-//                       JSON-only.
 //   POST /feedback      {"reports":[{...spec, "estimated":e, "actual":a}]}
 //                       → ReportEstimateOutcome into the configured
 //                       feedback sink (the §8/§9 accuracy tracker), closing
@@ -52,6 +54,9 @@
 //                       durable storage is attached (DESIGN.md §13) the
 //                       batch is in the WAL before the 200 is sent —
 //                       acknowledged updates survive kill -9.
+//
+// The three POST endpoints answer 400 to a body that does not parse or
+// lacks its array, and 413 to more than 4096 entries, before any work.
 //
 // Spec JSON (one object per estimate; "kind" selects the shape):
 //   {"kind":"equality",  "table":t, "column":c, "value":v}
@@ -82,6 +87,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "engine/catalog_snapshot.h"
 #include "estimator/serving.h"
@@ -137,9 +143,6 @@ struct EstimateServiceOptions {
   /// Registry /metrics renders and the endpoint metrics record into;
   /// nullptr = MetricRegistry::Global().
   telemetry::MetricRegistry* registry = nullptr;
-  /// Specs per /estimate (and reports per /feedback) request; larger
-  /// batches are rejected with 413 before any estimation work.
-  size_t max_specs_per_request = 4096;
   /// AccuracyTracker whose per-column q-error quantiles /debug/columns
   /// renders. nullptr omits the accuracy block (feedback may still flow —
   /// options.feedback is a separate, more general sink).
@@ -173,48 +176,44 @@ class EstimateService {
   }
 
  private:
+  using Handler = HttpResponse (EstimateService::*)(const HttpRequest&) const;
+
+  /// One row of the route table: the path and method it answers, its
+  /// handler, and the endpoint's latency histogram and Net.Request span.
   struct Endpoint {
     std::string path;
+    std::string method;
+    Handler handler = nullptr;
     telemetry::LatencyHistogram* latency = nullptr;
     telemetry::SpanSite* span = nullptr;
   };
 
-  HttpResponse Route(const HttpRequest& request, Endpoint** endpoint);
-  HttpResponse HandleMetrics() const;
-  HttpResponse HandleMetricsJson() const;
-  HttpResponse HandleHealthz() const;
-  HttpResponse HandleEstimate(const HttpRequest& request);
-  HttpResponse HandleEstimateBinary(const HttpRequest& request);
-  HttpResponse HandleFeedback(const HttpRequest& request);
-  HttpResponse HandleUpdate(const HttpRequest& request);
-  HttpResponse HandleTracez(telemetry::TraceRecorder* recorder) const;
-  HttpResponse HandleLogz() const;
-  HttpResponse HandleColumns() const;
-  HttpResponse HandleSnapshots() const;
-  HttpResponse HandleWal() const;
+  /// Finds the request's row, opens its span, guards the method (405), and
+  /// calls the handler; 404 under "other" when no row matches.
+  HttpResponse Route(const HttpRequest& request,
+                     const Endpoint** endpoint) const;
+  HttpResponse HandleMetrics(const HttpRequest& request) const;
+  HttpResponse HandleMetricsJson(const HttpRequest& request) const;
+  HttpResponse HandleHealthz(const HttpRequest& request) const;
+  HttpResponse HandleEstimate(const HttpRequest& request) const;
+  HttpResponse HandleFeedback(const HttpRequest& request) const;
+  HttpResponse HandleUpdate(const HttpRequest& request) const;
+  HttpResponse HandleTracez(const HttpRequest& request) const;
+  HttpResponse HandleLogz(const HttpRequest& request) const;
+  HttpResponse HandleColumns(const HttpRequest& request) const;
+  HttpResponse HandleSnapshots(const HttpRequest& request) const;
+  HttpResponse HandleWal(const HttpRequest& request) const;
 
-  /// Decodes one spec object against \p snapshot (names → dense ids).
-  Result<EstimateSpec> ParseSpec(const JsonValue& value,
-                                 const CatalogSnapshot& snapshot) const;
-
-  Endpoint MakeEndpoint(const std::string& path);
+  Endpoint MakeEndpoint(std::string path, std::string method,
+                        Handler handler);
   void CountRequest(const std::string& endpoint, int status);
+  /// options.recorder, else the process-wide one (may be null).
+  telemetry::TraceRecorder* recorder() const;
 
   const EstimateServiceOptions options_;
   telemetry::MetricRegistry* registry_;  // resolved (never null)
-
-  Endpoint metrics_;
-  Endpoint metrics_json_;
-  Endpoint healthz_;
-  Endpoint estimate_;
-  Endpoint feedback_;
-  Endpoint update_;
-  Endpoint tracez_;
-  Endpoint logz_;
-  Endpoint columns_;
-  Endpoint snapshots_;
-  Endpoint wal_;
-  Endpoint other_;
+  const std::vector<Endpoint> endpoints_;
+  const Endpoint other_;  // unmatched targets: 404, counted as "other"
 };
 
 }  // namespace hops::net

@@ -270,7 +270,10 @@ Status CopyArraySection(std::string_view payload, std::vector<T>* out,
                    std::to_string(sizeof(T)));
   }
   out->resize(payload.size() / sizeof(T));
-  std::memcpy(out->data(), payload.data(), payload.size());
+  // An empty section leaves out->data() null, which memcpy must not see.
+  if (!payload.empty()) {
+    std::memcpy(out->data(), payload.data(), payload.size());
+  }
   return Status::OK();
 }
 

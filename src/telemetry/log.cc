@@ -94,7 +94,10 @@ struct LogBuffer::Impl {
   uint64_t total = 0;
 };
 
-LogBuffer::LogBuffer(size_t capacity) : impl_(new Impl(capacity)) {}
+LogBuffer::LogBuffer(size_t capacity)
+    : impl_(std::make_unique<Impl>(capacity)) {}
+
+LogBuffer::~LogBuffer() = default;
 
 void LogBuffer::Push(std::string line) {
   std::lock_guard<std::mutex> lock(impl_->mutex);

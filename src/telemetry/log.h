@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,6 +83,10 @@ struct LogSite {
 class LogBuffer {
  public:
   explicit LogBuffer(size_t capacity = 1024);
+  ~LogBuffer();
+
+  LogBuffer(const LogBuffer&) = delete;
+  LogBuffer& operator=(const LogBuffer&) = delete;
 
   void Push(std::string line);
 
@@ -91,11 +96,13 @@ class LogBuffer {
   /// Lines ever pushed (monotonic; exceeds the ring once it wraps).
   uint64_t total_lines() const;
 
+  /// The process-wide ring. Never destroyed, because loggers may still run
+  /// during static teardown; every other instance frees its ring.
   static LogBuffer& Global();
 
  private:
   struct Impl;
-  Impl* impl_;  // leaked: loggers may run during static teardown
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Current minimum level (default info; HOPS_LOG env applied at startup).

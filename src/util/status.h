@@ -121,8 +121,12 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(state_); }
 
   /// Returns the error status, or OK if the result holds a value.
-  Status status() const {
+  Status status() const& {
     return ok() ? Status::OK() : std::get<Status>(state_);
+  }
+  /// Same, moving the error out of an expiring Result.
+  Status status() && {
+    return ok() ? Status::OK() : std::move(std::get<Status>(state_));
   }
 
   /// Returns the contained value. Requires ok().
