@@ -1,7 +1,7 @@
 // JSON perf harness for the adaptive statistics refresh subsystem
 // (DESIGN.md §8): the write path that feeds the §7 serving path.
 //
-// Three measurements, written to BENCH_refresh.json:
+// Four measurements, written to BENCH_refresh.json:
 //
 //   delta_apply    — throughput of the UpdateLog → ApplyPendingDeltas
 //                    pipeline: tuple deltas enqueued by producers and
@@ -17,15 +17,6 @@
 //                    RefreshDaemon continuously applies, rebuilds, and
 //                    republishes. This is the RCU promise measured: reader
 //                    tail latency must not collapse under maintenance.
-//   sharded_drain  — drain throughput of RefreshManager's partitioned
-//                    apply (§8 "Apply partitions"): four producers enqueue
-//                    64-record RecordBatch chunks into the one log while a
-//                    consumer ticks, swept over shards ∈ {1, 2, 4} ({1, 2}
-//                    under --quick), with queue_capacity = 16384 × shards.
-//                    The shards axis and speedup_vs_1 are recorded, never
-//                    asserted — on a one-hardware-thread CI box the curve
-//                    is flat; the JSON makes the trajectory machine-
-//                    readable where real cores exist.
 //   selftune       — accuracy and cost of the §15 self-tuning layer on a
 //                    drifting-Zipf column: median q-error of a stale
 //                    v-optimal build vs the same build after feedback-driven
@@ -336,107 +327,7 @@ int Run(int argc, char** argv) {
             << " rebuilds, " << churn_stats.republish_count
             << " republishes)\n";
 
-  // ----------------------------- phase 4: sharded drain throughput sweep
-  // DESIGN.md §8 "Apply partitions": producers enqueue RecordBatch chunks
-  // into the one log; each Tick buckets the drain by column hash and
-  // applies the buckets in parallel on the global pool, then publishes
-  // once. Rebuild policy is off — this phase isolates the enqueue → drain →
-  // apply → publish path. The log holds 16384 records per shard: whether a
-  // partitioned apply keeps up with four producers depends on the log's
-  // total capacity, so the backpressure budget scales with the shard count.
-  struct ShardSweepPoint {
-    size_t shards = 0;
-    uint64_t deltas = 0;
-    double seconds = 0;
-    double deltas_per_second = 0;
-    double speedup_vs_1 = 0;
-    uint64_t producer_waits = 0;
-    uint64_t republish_count = 0;
-    uint64_t ticks = 0;
-    uint64_t ticks_skipped = 0;
-  };
-  constexpr size_t kShardProducers = 4;
-  const std::vector<size_t> shard_counts =
-      quick ? std::vector<size_t>{1, 2} : std::vector<size_t>{1, 2, 4};
-  const size_t per_producer = cfg.apply_deltas / kShardProducers;
-  std::vector<ShardSweepPoint> shard_sweep;
-  for (size_t shards : shard_counts) {
-    Catalog sharded_catalog;
-    SnapshotStore sharded_store;
-    RefreshOptions sharded_options;
-    sharded_options.shards = shards;
-    sharded_options.queue_capacity = (size_t{1} << 14) * shards;
-    sharded_options.maintenance.rebuild_drift_fraction = 1e18;
-    sharded_options.staleness.rebuild_score_threshold = 1e18;
-    RefreshManager sharded(&sharded_catalog, &sharded_store, sharded_options);
-    auto shard_ids_or = RegisterColumns(&sharded, cfg);
-    shard_ids_or.status().Check();
-    const std::vector<RefreshColumnId>& shard_ids = *shard_ids_or;
-
-    Stopwatch sw_shard;
-    std::atomic<size_t> producers_done{0};
-    std::vector<std::thread> producers;
-    producers.reserve(kShardProducers);
-    for (size_t p = 0; p < kShardProducers; ++p) {
-      producers.emplace_back([&, p] {
-        std::vector<UpdateRecord> chunk;
-        chunk.reserve(64);
-        for (size_t i = 0; i < per_producer; ++i) {
-          const size_t g = p * per_producer + i;
-          const RefreshColumnId column = shard_ids[g % shard_ids.size()];
-          const int64_t value = static_cast<int64_t>(
-              (g * 2654435761u) % (2 * cfg.values_per_column));
-          chunk.push_back(UpdateRecord{column, value, +1.0});
-          if (chunk.size() == 64) {
-            sharded.RecordBatch(chunk).Check();
-            chunk.clear();
-          }
-        }
-        if (!chunk.empty()) sharded.RecordBatch(chunk).Check();
-        producers_done.fetch_add(1, std::memory_order_release);
-      });
-    }
-    // Consumer loop: tick while producers are live or records are queued;
-    // yield on empty polls so producers keep the core on small boxes.
-    while (producers_done.load(std::memory_order_acquire) < kShardProducers ||
-           sharded.pending_update_records() > 0) {
-      if (sharded.pending_update_records() == 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      sharded.Tick().status().Check();
-    }
-    for (auto& producer : producers) producer.join();
-    // Final tick in case the last enqueue landed after the last poll.
-    sharded.Tick().status().Check();
-    const double shard_seconds = sw_shard.ElapsedSeconds();
-
-    const RefreshStats sharded_stats = sharded.stats();
-    ShardSweepPoint point;
-    point.shards = shards;
-    point.deltas = sharded_stats.deltas_applied;
-    point.seconds = shard_seconds;
-    point.deltas_per_second =
-        shard_seconds > 0
-            ? static_cast<double>(point.deltas) / shard_seconds
-            : 0;
-    point.speedup_vs_1 =
-        !shard_sweep.empty() && shard_sweep.front().deltas_per_second > 0
-            ? point.deltas_per_second / shard_sweep.front().deltas_per_second
-            : 1.0;
-    point.producer_waits = sharded_stats.log.producer_waits;
-    point.republish_count = sharded_stats.republish_count;
-    point.ticks = sharded_stats.ticks;
-    point.ticks_skipped = sharded_stats.ticks_skipped;
-    shard_sweep.push_back(point);
-    std::cout << "  sharded_drain[shards=" << shards << "]: " << point.deltas
-              << " deltas in " << point.seconds << "s ("
-              << point.deltas_per_second << "/s, x" << point.speedup_vs_1
-              << " vs 1 shard, " << point.producer_waits
-              << " producer waits)\n";
-  }
-
-  // ------------------------------- phase 5: self-tuning on a drifting Zipf
+  // ------------------------------- phase 4: self-tuning on a drifting Zipf
   // One column built from rank-ordered Zipf-ish frequencies; the "true"
   // distribution then rotates by a third of the domain, so the build's
   // heavy hitters go cold and new ones appear deep in the default bucket.
@@ -649,41 +540,6 @@ int Run(int argc, char** argv) {
   w.UInt(written.load());
   w.Key("well_formed");
   w.Bool(estimates_well_formed);
-  w.EndObject();
-
-  w.Key("sharded_drain");
-  w.BeginObject();
-  w.Key("producers");
-  w.UInt(kShardProducers);
-  w.Key("deltas_per_point");
-  w.UInt(per_producer * kShardProducers);
-  w.Key("batch_chunk");
-  w.UInt(64);
-  w.Key("sweep");
-  w.BeginArray();
-  for (const ShardSweepPoint& point : shard_sweep) {
-    w.BeginObject();
-    w.Key("shards");
-    w.UInt(point.shards);
-    w.Key("deltas");
-    w.UInt(point.deltas);
-    w.Key("seconds");
-    w.Double(point.seconds);
-    w.Key("deltas_per_second");
-    w.Double(point.deltas_per_second);
-    w.Key("speedup_vs_1");
-    w.Double(point.speedup_vs_1);
-    w.Key("producer_waits");
-    w.UInt(point.producer_waits);
-    w.Key("republish_count");
-    w.UInt(point.republish_count);
-    w.Key("ticks");
-    w.UInt(point.ticks);
-    w.Key("ticks_skipped");
-    w.UInt(point.ticks_skipped);
-    w.EndObject();
-  }
-  w.EndArray();
   w.EndObject();
 
   w.Key("selftune");

@@ -7,9 +7,9 @@
 #              suites (thread_pool_test, parallel_build_test,
 #              snapshot_concurrency_test, refresh_daemon_test,
 #              telemetry_concurrency_test, trace_recorder_test,
-#              sharded_refresh_soak_test — sharding + durability + daemon
-#              in one soak —, http_parser_test, net_server_test,
-#              storage_test, storage_crash_test)
+#              refresh_soak_test — durability + daemon in one soak —,
+#              http_parser_test, net_server_test, storage_test,
+#              storage_crash_test)
 #   --telemetry-smoke  build + run examples/feedback_loop and grep its
 #              Prometheus dump for the expected metric families (the §9
 #              end-to-end observability gate)
@@ -78,18 +78,18 @@ PY
 if [[ "$RUN_TIER1" == 1 ]]; then
   cmake -B build -G Ninja
   cmake --build build
-  ctest --test-dir build --output-on-failure
+  ctest --test-dir build --output-on-failure -j"$(nproc)"
 
   echo "== Regenerating paper tables/figures =="
   for b in build/bench/*; do
     "$b"
   done
 
-  # The refresh bench must carry the §8 apply-partition shards axis plus the
+  # The refresh bench must carry the §15 self-tuning axis plus the
   # provenance fields every BENCH_*.json promises — a silent schema
   # regression here would break cross-PR perf tracking.
-  echo "== Checking BENCH_refresh.json schema (shards axis + provenance) =="
-  for field in '"shards"' '"speedup_vs_1"' '"ticks_skipped"' \
+  echo "== Checking BENCH_refresh.json schema (selftune + provenance) =="
+  for field in '"ticks_skipped"' \
       '"selftune"' '"tuned_median_qerror"' '"tuned_beats_stale"' \
       '"seconds_per_adjustment"' '"tuning_off_bit_identical"' \
       '"timestamp_utc"' '"git_rev"'; do
@@ -164,7 +164,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
     -DHOPS_BUILD_EXAMPLES=OFF -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
   cmake --build build-asan
-  ctest --test-dir build-asan --output-on-failure
+  ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then
@@ -174,7 +174,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan --target thread_pool_test parallel_build_test \
     snapshot_concurrency_test refresh_daemon_test telemetry_concurrency_test \
-    trace_recorder_test sharded_refresh_soak_test http_parser_test \
+    trace_recorder_test refresh_soak_test http_parser_test \
     net_server_test storage_test storage_crash_test
   # Oversubscribe the pool so TSan sees real interleavings even on small
   # CI machines.
@@ -184,9 +184,9 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   HOPS_THREADS=4 ./build-tsan/tests/refresh_daemon_test
   HOPS_THREADS=4 ./build-tsan/tests/telemetry_concurrency_test
   HOPS_THREADS=4 ./build-tsan/tests/trace_recorder_test
-  # Apply partitions (shards = 3) + a RecoveryManager + the daemon, with a
-  # checkpoint mid-churn and a warm restart at shards = 1.
-  HOPS_THREADS=4 ./build-tsan/tests/sharded_refresh_soak_test
+  # A RecoveryManager + the daemon, with a checkpoint mid-churn and a warm
+  # restart.
+  HOPS_THREADS=4 ./build-tsan/tests/refresh_soak_test
   HOPS_THREADS=4 ./build-tsan/tests/http_parser_test
   HOPS_THREADS=4 ./build-tsan/tests/net_server_test
   # The storage suites include the kill-9-under-churn soak: the crash child

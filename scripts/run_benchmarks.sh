@@ -2,9 +2,8 @@
 # Concurrency verification + perf trajectory for the parallel histogram
 # pipeline and the read-optimized serving layer:
 #
-#   1. Build with -DHOPS_SANITIZE=thread and run the concurrency suite
-#      (thread_pool_test, parallel_build_test, snapshot_concurrency_test)
-#      under ThreadSanitizer.
+#   1. Run scripts/check.sh --skip-tier1 --tsan: the ThreadSanitizer build
+#      over the concurrency suites, whose list lives in check.sh only.
 #   2. Build optimized and run bench/bench_json, which times serial vs
 #      parallel batched construction, verifies the parallel results are
 #      bit-identical to serial, and writes BENCH_histograms.json.
@@ -47,21 +46,7 @@ for arg in "$@"; do
 done
 
 if [[ "$RUN_TSAN" == 1 ]]; then
-  echo "== ThreadSanitizer pass (thread_pool_test, parallel_build_test," \
-       "snapshot_concurrency_test, refresh_daemon_test," \
-       "trace_recorder_test) =="
-  cmake -B build-tsan -G Ninja -DHOPS_SANITIZE=thread \
-    -DHOPS_BUILD_BENCHMARKS=OFF -DHOPS_BUILD_EXAMPLES=OFF \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-tsan --target thread_pool_test parallel_build_test \
-    snapshot_concurrency_test refresh_daemon_test trace_recorder_test
-  # Oversubscribe the pool so TSan sees real interleavings even on small
-  # CI machines.
-  HOPS_THREADS=4 ./build-tsan/tests/thread_pool_test
-  HOPS_THREADS=4 ./build-tsan/tests/parallel_build_test
-  HOPS_THREADS=4 ./build-tsan/tests/snapshot_concurrency_test
-  HOPS_THREADS=4 ./build-tsan/tests/refresh_daemon_test
-  HOPS_THREADS=4 ./build-tsan/tests/trace_recorder_test
+  scripts/check.sh --skip-tier1 --tsan
 fi
 
 echo "== Optimized bench: serial vs parallel batched construction =="

@@ -27,7 +27,8 @@ Result<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::Compile(
     compiled.num_distinct = stats.num_distinct;
     compiled.min_value = stats.min_value;
     compiled.max_value = stats.max_value;
-    compiled.histogram = stats.histogram.compiled_shared();
+    compiled.histogram = std::make_shared<const CompiledHistogram>(
+        CompiledHistogram::Compile(stats.histogram));
     snapshot->columns_.push_back(std::move(compiled));
   }
   if (!snapshot->columns_.empty()) {

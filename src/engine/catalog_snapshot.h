@@ -39,8 +39,7 @@ namespace hops {
 using ColumnId = uint32_t;
 
 /// \brief Read-optimized statistics for one column: the ColumnStatistics
-/// scalars plus the compiled histogram, behind shared ownership so snapshots
-/// can share compiled views with the catalog entries they came from.
+/// scalars plus the histogram CatalogSnapshot::Compile compiled for it.
 struct CompiledColumnStats {
   std::string table;
   std::string column;

@@ -161,21 +161,14 @@ class EstimationFeedbackSink {
  public:
   virtual ~EstimationFeedbackSink() = default;
 
-  /// Reports one observed outcome for (table, column). \p estimated is the
-  /// served estimate, \p actual the true result size once known.
-  virtual void ReportEstimationError(std::string_view table,
-                                     std::string_view column,
-                                     double estimated, double actual) = 0;
-
-  /// Predicate-shaped form of the same report. The default implementation
-  /// forwards to ReportEstimationError, so sinks that only care about the
-  /// error magnitude need not override it; the self-tuning refresh manager
-  /// overrides it to route the predicate interval into its tuner.
+  /// Reports one observed outcome for (table, column): \p outcome carries
+  /// the served estimate, the true result size once known, and the probed
+  /// interval when the spec pins one down. Sinks that only care about the
+  /// error magnitude read estimated/actual; the self-tuning refresh manager
+  /// also routes the interval into its tuner.
   virtual void ReportPredicateOutcome(std::string_view table,
                                       std::string_view column,
-                                      const PredicateOutcome& outcome) {
-    ReportEstimationError(table, column, outcome.estimated, outcome.actual);
-  }
+                                      const PredicateOutcome& outcome) = 0;
 };
 
 /// \brief Maps \p spec back to the columns it consulted (selection column,

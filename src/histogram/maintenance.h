@@ -15,11 +15,11 @@
 //    top-k territory needs a rebuild to become explicit).
 //
 // Serving coherence: every mutation goes through
-// CatalogHistogram::AdjustExplicitFrequency / SetDefaultFrequency, which
-// invalidate the histogram's cached compiled() view (histogram/compiled.h),
-// so `current().compiled()` after any ApplyInsert/ApplyDelete is always
-// equivalent to compiling the maintained histogram from scratch — the
-// maintenance-coherence tests in tests/histogram/compiled_test.cc prove it.
+// CatalogHistogram::AdjustExplicitFrequency / SetDefaultFrequency, and
+// serving compiles the maintained histogram afresh on every publish
+// (CatalogSnapshot::Compile), so an applied update is visible to the next
+// snapshot — the maintenance-coherence tests in
+// tests/histogram/compiled_test.cc prove it.
 
 #pragma once
 
@@ -79,15 +79,10 @@ class HistogramMaintainer {
 
   /// Mutable access for the self-tuning layer (refresh/self_tuner.h): the
   /// tuner applies its in-place deltas through CatalogHistogram's validated
-  /// mutators, which keep the compiled-view cache coherent exactly like the
-  /// maintainer's own ApplyInsert/ApplyDelete paths. Tuning redistributes
-  /// mass, so the drift counters tracked here stay meaningful.
+  /// mutators, like the maintainer's own ApplyInsert/ApplyDelete paths.
+  /// Tuning redistributes mass, so the drift counters tracked here stay
+  /// meaningful.
   CatalogHistogram* mutable_current() { return &histogram_; }
-
-  /// Read-optimized view of the maintained histogram. Always coherent:
-  /// ApplyInsert/ApplyDelete invalidate the underlying cache, so the view
-  /// is rebuilt on first use after any update.
-  const CompiledHistogram& compiled() const { return histogram_.compiled(); }
 
   /// Estimated relation size after the applied updates.
   double num_tuples() const { return num_tuples_; }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "histogram/compiled.h"
 #include "histogram/tuning.h"
 
 namespace hops {
@@ -109,7 +108,6 @@ bool CatalogHistogram::AdjustExplicitFrequency(int64_t value, double delta) {
       [](const auto& entry, int64_t v) { return entry.first < v; });
   if (it == explicit_entries_.end() || it->first != value) return false;
   it->second = std::max(0.0, it->second + delta);
-  compiled_.reset();  // keep the compiled view coherent
   return true;
 }
 
@@ -118,7 +116,6 @@ Status CatalogHistogram::SetDefaultFrequency(double frequency) {
     return Status::InvalidArgument("default frequency must be >= 0");
   }
   default_frequency_ = frequency;
-  compiled_.reset();  // keep the compiled view coherent
   return Status::OK();
 }
 
@@ -131,7 +128,6 @@ bool CatalogHistogram::PromoteToExplicit(int64_t value, double frequency) {
   if (it != explicit_entries_.end() && it->first == value) return false;
   explicit_entries_.emplace(it, value, frequency);
   --num_default_values_;
-  compiled_.reset();  // keep the compiled view coherent
   return true;
 }
 
@@ -151,28 +147,12 @@ uint64_t CatalogHistogram::ScaleExplicitRange(int64_t lo, int64_t hi,
     it->second = std::max(0.0, it->second * factor);
     ++touched;
   }
-  if (touched > 0) compiled_.reset();  // keep the compiled view coherent
   return touched;
 }
 
 void CatalogHistogram::SetRefinement(
     std::shared_ptr<const BucketRefinementTree> refinement) {
   refinement_ = std::move(refinement);
-  compiled_.reset();  // keep the compiled view coherent
-}
-
-const CompiledHistogram& CatalogHistogram::compiled() const {
-  if (compiled_ == nullptr) {
-    compiled_ = std::make_shared<const CompiledHistogram>(
-        CompiledHistogram::Compile(*this));
-  }
-  return *compiled_;
-}
-
-std::shared_ptr<const CompiledHistogram> CatalogHistogram::compiled_shared()
-    const {
-  compiled();  // ensure the cache is populated
-  return compiled_;
 }
 
 bool CatalogHistogram::operator==(const CatalogHistogram& other) const {

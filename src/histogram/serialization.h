@@ -24,7 +24,6 @@
 namespace hops {
 
 class BucketRefinementTree;
-class CompiledHistogram;
 
 /// \brief Catalog-resident compact histogram over int64 attribute values.
 class CatalogHistogram {
@@ -50,13 +49,11 @@ class CatalogHistogram {
 
   /// Adds \p delta to an explicitly stored value's frequency (clamped at 0).
   /// Returns false (and changes nothing) when the value is not explicit.
-  /// Used by incremental maintenance (histogram/maintenance.h). Invalidates
-  /// the cached compiled() view on success.
+  /// Used by incremental maintenance (histogram/maintenance.h).
   bool AdjustExplicitFrequency(int64_t value, double delta);
 
   /// Replaces the default bucket's average frequency (>= 0). Used by
-  /// incremental maintenance. Invalidates the cached compiled() view on
-  /// success.
+  /// incremental maintenance.
   Status SetDefaultFrequency(double frequency);
 
   /// Moves one value out of the implicit default bucket into the explicit
@@ -65,13 +62,11 @@ class CatalogHistogram {
   /// observed frequency diverges from the bucket average earns its own
   /// entry. Returns false (and changes nothing) when the value is already
   /// explicit, the default bucket is empty, or the frequency is invalid.
-  /// Invalidates the cached compiled() view on success.
   bool PromoteToExplicit(int64_t value, double frequency);
 
   /// Multiplies the frequency of every explicit entry inside the closed
   /// interval [lo, hi] by \p factor (finite, > 0; anything else is a
-  /// no-op). Returns the number of entries touched; invalidates the cached
-  /// compiled() view when that count is nonzero. Used by range-feedback
+  /// no-op). Returns the number of entries touched. Used by range-feedback
   /// tuning deltas.
   uint64_t ScaleExplicitRange(int64_t lo, int64_t hi, double factor);
 
@@ -79,27 +74,13 @@ class CatalogHistogram {
   /// tree — the learned intra-bucket density range estimation uses in
   /// place of the uniform-spread assumption (histogram/tuning.h). Shared
   /// and immutable: tuners replace the pointer copy-on-write, never mutate
-  /// through it. Invalidates the cached compiled() view.
+  /// through it.
   void SetRefinement(std::shared_ptr<const BucketRefinementTree> refinement);
 
   /// The installed refinement tree, or nullptr (the uniform default).
   const std::shared_ptr<const BucketRefinementTree>& refinement() const {
     return refinement_;
   }
-
-  /// Read-optimized compiled view (histogram/compiled.h), built lazily and
-  /// cached; every mutation (AdjustExplicitFrequency / SetDefaultFrequency)
-  /// invalidates the cache, so the view is always coherent with the entries.
-  /// Thread-compatible like the rest of the catalog types: the lazy build
-  /// mutates a cache member, so concurrent first reads need external
-  /// synchronization — concurrent serving goes through the immutable
-  /// CatalogSnapshot instead (engine/catalog_snapshot.h).
-  const CompiledHistogram& compiled() const;
-
-  /// Shared ownership of the compiled view; the returned pointer stays
-  /// valid (and immutable) after this histogram mutates or dies — this is
-  /// what CatalogSnapshot::Compile captures.
-  std::shared_ptr<const CompiledHistogram> compiled_shared() const;
 
   /// Explicitly stored entries, sorted by value.
   const std::vector<std::pair<int64_t, double>>& explicit_entries() const {
@@ -129,8 +110,7 @@ class CatalogHistogram {
   static Result<CatalogHistogram> Decode(std::string_view bytes);
 
   /// Logical equality (entries, default frequency, default count, and the
-  /// refinement tree's contents); the compiled-view cache does not
-  /// participate.
+  /// refinement tree's contents).
   bool operator==(const CatalogHistogram& other) const;
 
  private:
@@ -140,10 +120,6 @@ class CatalogHistogram {
   // Learned default-bucket density (nullptr = uniform); shared with
   // compiled views, replaced copy-on-write by the tuner.
   std::shared_ptr<const BucketRefinementTree> refinement_;
-  // Lazily built read-optimized view; reset by mutators. Shared so that a
-  // CatalogSnapshot can keep serving the old view after this histogram
-  // changes (RCU semantics).
-  mutable std::shared_ptr<const CompiledHistogram> compiled_;
 };
 
 }  // namespace hops

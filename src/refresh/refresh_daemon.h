@@ -3,10 +3,9 @@
 // The RefreshDaemon owns one background thread that periodically runs
 // RefreshSource::Tick — drain the update log, apply deltas through the
 // maintenance hooks, rebuild the stalest columns, republish one immutable
-// snapshot. The source is a RefreshManager at any shard count, or a
-// wrapper around one — the daemon is agnostic. Between ticks the
-// thread sleeps on a condition variable, so RequestTick() (or shutdown)
-// wakes it immediately.
+// snapshot. The source is a RefreshManager or a wrapper around one — the
+// daemon is agnostic. Between ticks the thread sleeps on a condition
+// variable, so RequestTick() (or shutdown) wakes it immediately.
 //
 // Lifecycle contract:
 //   Start()        — spawns the thread; AlreadyExists if running.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "histogram/parallel_build.h"
@@ -45,23 +44,6 @@ struct RefreshManager::ColumnState {
 
 namespace {
 
-// Murmur3 finalizer: a stable 32-bit mixer, so a column's apply partition
-// depends only on its id — never on registration order or the process.
-// Sequential ids spread uniformly.
-uint32_t Mix32(uint32_t x) {
-  x ^= x >> 16;
-  x *= 0x85ebca6bu;
-  x ^= x >> 13;
-  x *= 0xc2b2ae35u;
-  x ^= x >> 16;
-  return x;
-}
-
-RefreshOptions ClampShards(RefreshOptions options) {
-  options.shards = std::max<size_t>(1, options.shards);
-  return options;
-}
-
 // Sorted (value, frequency) view of the ideal tracker, positive counts
 // only — the input of both moment recomputation and rebuilds. Sorting makes
 // rebuilds deterministic regardless of hash-map iteration order.
@@ -82,21 +64,10 @@ RefreshManager::RefreshManager(Catalog* catalog, SnapshotStore* store,
                                RefreshOptions options)
     : catalog_(catalog),
       store_(store),
-      options_(ClampShards(std::move(options))),
+      options_(std::move(options)),
       advisor_(options_.staleness),
       tuner_(options_.tuning),
-      log_(options_.queue_capacity) {
-  if (options_.shards == 1) return;
-  shards_.reserve(options_.shards);
-  for (size_t i = 0; i < options_.shards; ++i) {
-    const telemetry::LabelSet labels{{"shard", std::to_string(i)}};
-    shards_.push_back(ApplyShard{
-        &telemetry::GetSpanSite("Refresh.ShardTick", labels),
-        telemetry::MetricRegistry::Global().GetCounter(
-            "hops_refresh_shard_deltas_total",
-            "Update records applied per refresh apply partition.", labels)});
-  }
-}
+      log_(options_.queue_capacity) {}
 
 RefreshManager::~RefreshManager() {
   // Unblock any producer still waiting on backpressure; records already
@@ -223,10 +194,6 @@ size_t RefreshManager::num_columns() const {
   return columns_.size();
 }
 
-size_t RefreshManager::ShardOfColumn(RefreshColumnId id) const {
-  return Mix32(id) % options_.shards;
-}
-
 void RefreshManager::FoldFeedbackLocked(ColumnState& state, double estimated,
                                         double actual) {
   // |estimated - actual| can overflow to inf for *finite* opposite-sign
@@ -243,17 +210,6 @@ void RefreshManager::FoldFeedbackLocked(ColumnState& state, double estimated,
     state.has_feedback = true;
   }
   feedback_reports_.Increment();
-}
-
-void RefreshManager::ReportEstimationError(std::string_view table,
-                                           std::string_view column,
-                                           double estimated, double actual) {
-  if (!std::isfinite(estimated) || !std::isfinite(actual)) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it =
-      by_name_.find(std::make_pair(std::string(table), std::string(column)));
-  if (it == by_name_.end()) return;  // serving may know more columns than us
-  FoldFeedbackLocked(*columns_[it->second], estimated, actual);
 }
 
 void RefreshManager::ReportPredicateOutcome(std::string_view table,
@@ -374,37 +330,6 @@ Result<size_t> RefreshManager::ApplyRecordsLocked(
   return applied;
 }
 
-Result<size_t> RefreshManager::ApplyPartitionedLocked(
-    std::span<const UpdateRecord> records) {
-  const size_t n = shards_.size();
-  std::vector<std::vector<UpdateRecord>> buckets(n);
-  for (const UpdateRecord& record : records) {
-    buckets[ShardOfColumn(record.column)].push_back(record);
-  }
-  std::vector<Result<size_t>> applied(n, size_t{0});
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    if (buckets[s].empty()) continue;
-    tasks.push_back([this, s, &buckets, &applied] {
-      telemetry::TraceSpan span(*shards_[s].tick_site);
-      applied[s] = ApplyRecordsLocked(buckets[s]);
-      if (applied[s].ok() && *applied[s] > 0 && telemetry::Enabled()) {
-        shards_[s].deltas_total->Increment(*applied[s]);
-      }
-    });
-  }
-  ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
-  pool.RunBatch(tasks);
-  size_t total = 0;
-  for (const Result<size_t>& result : applied) {
-    HOPS_RETURN_NOT_OK(result.status());
-    total += *result;
-  }
-  return total;
-}
-
 Status RefreshManager::WriteBackDirtyLocked(bool* changed) {
   for (auto& state : columns_) {
     if (!state->dirty) continue;
@@ -427,14 +352,11 @@ Result<size_t> RefreshManager::ApplyPendingDeltasLocked(bool* changed) {
   telemetry::TraceSpan apply_span(apply_site);
   // Fold every drained LSN — including unknown-column drops — so the
   // high-water mark stays contiguous (a dropped record must not be
-  // replayed as if it were never consumed). One log means one LSN order,
-  // whatever the shard count.
+  // replayed as if it were never consumed).
   for (const UpdateRecord& record : records) {
     last_applied_lsn_ = std::max(last_applied_lsn_, record.lsn);
   }
-  HOPS_ASSIGN_OR_RETURN(const size_t applied,
-                        shards_.empty() ? ApplyRecordsLocked(records)
-                                        : ApplyPartitionedLocked(records));
+  HOPS_ASSIGN_OR_RETURN(const size_t applied, ApplyRecordsLocked(records));
   HOPS_RETURN_NOT_OK(WriteBackDirtyLocked(changed));
   return applied;
 }

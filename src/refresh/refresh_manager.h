@@ -23,13 +23,6 @@
 // CatalogSnapshot — readers never observe a torn catalog
 // (tests/refresh/refresh_daemon_test.cc proves it under ThreadSanitizer).
 //
-// RefreshOptions::shards splits only the apply step: a tick buckets the
-// drained records by a stable hash of their column and applies the buckets
-// in parallel on the pool. A column's histogram depends on its own
-// frequency set alone (Theorem 3.3), so buckets share nothing; every
-// decision — tuning, scoring, rebuild picks, publication — stays global,
-// and served estimates are bit-identical at every shard count.
-//
 // Thread model: producers touch only the UpdateLog's lock; readers touch
 // only the SnapshotStore; Lookup touches only the name index's shared
 // lock; everything else (column registry, catalog, moments) is guarded by
@@ -64,10 +57,6 @@
 
 namespace hops {
 
-namespace telemetry {
-struct SpanSite;
-}  // namespace telemetry
-
 /// \brief Knobs for the whole refresh subsystem.
 struct RefreshOptions {
   /// Per-column incremental-maintenance policy (drift thresholds).
@@ -87,13 +76,7 @@ struct RefreshOptions {
   /// with tuning off every histogram stays byte-identical to a build
   /// without the subsystem.
   SelfTuneOptions tuning;
-  /// Apply partitions (clamped to at least 1). Above 1, each tick buckets
-  /// the drained records by ShardOfColumn, keeping drain order, and applies
-  /// the buckets in parallel on the pool. Nothing else depends on it:
-  /// queue_capacity and max_rebuilds_per_tick stay totals.
-  size_t shards = 1;
-  /// Pool for batched rebuilds and partitioned applies; nullptr =
-  /// ThreadPool::Global().
+  /// Pool for batched rebuilds; nullptr = ThreadPool::Global().
   ThreadPool* pool = nullptr;
 };
 
@@ -148,10 +131,6 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
                                  std::string_view column) const;
 
   size_t num_columns() const;
-
-  /// The apply partition that owns \p id (a stable hash of the id; always
-  /// 0 at shards = 1).
-  size_t ShardOfColumn(RefreshColumnId id) const;
 
   /// The options the manager was constructed with (e.g. the histogram
   /// class rebuilds use — surfaced by GET /debug/columns).
@@ -225,14 +204,10 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   // --------------------------------------------------------------- feedback
 
   /// EstimationFeedbackSink: folds |estimated - actual| / max(actual, 1)
-  /// into the column's EWMA. Unknown columns are ignored (the serving layer
-  /// may know columns the refresh subsystem does not track). Thread-safe.
-  void ReportEstimationError(std::string_view table, std::string_view column,
-                             double estimated, double actual) override;
-
-  /// Predicate-shaped feedback: folds the same EWMA signal, then (when
-  /// options.tuning.enabled) buffers the probed interval for the next
-  /// tick's self-tuning pass. Thread-safe.
+  /// into the column's EWMA, then (when options.tuning.enabled) buffers the
+  /// probed interval for the next tick's self-tuning pass. Unknown columns
+  /// are ignored (the serving layer may know columns the refresh subsystem
+  /// does not track). Thread-safe.
   void ReportPredicateOutcome(std::string_view table, std::string_view column,
                               const PredicateOutcome& outcome) override;
 
@@ -288,13 +263,8 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   // All Lock* helpers require mutex_ held.
   Status ApplyDeltaLocked(ColumnState& state, int64_t value, double weight);
   /// Applies \p records in order, counting and dropping unknown column ids;
-  /// returns the number applied. Touches only the columns the records name
-  /// (plus thread-safe counters), so a tick runs disjoint column buckets
-  /// of it concurrently on the pool.
+  /// returns the number applied.
   Result<size_t> ApplyRecordsLocked(std::span<const UpdateRecord> records);
-  /// shards > 1: buckets \p records by ShardOfColumn, keeping drain order,
-  /// and runs ApplyRecordsLocked per bucket on the pool.
-  Result<size_t> ApplyPartitionedLocked(std::span<const UpdateRecord> records);
   /// Writes every dirty column back to the catalog; sets \p *changed when
   /// any was written.
   Status WriteBackDirtyLocked(bool* changed);
@@ -338,13 +308,6 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   // paths: mutex_).
   mutable std::shared_mutex names_mutex_;
   std::map<std::pair<std::string, std::string>, RefreshColumnId> by_name_;
-  // Per-partition telemetry, one entry per shard when shards > 1 (empty at
-  // shards = 1, where the apply runs inline with no extra spans).
-  struct ApplyShard {
-    telemetry::SpanSite* tick_site;  // Refresh.ShardTick{shard="<i>"}
-    telemetry::Counter* deltas_total;  // hops_refresh_shard_deltas_total
-  };
-  std::vector<ApplyShard> shards_;
   // Counters come from the telemetry metrics core (DESIGN.md §9, one
   // counter implementation across the codebase). Per-manager instances so
   // stats() stays per-instance exact; incremented under mutex_ (they are

@@ -20,9 +20,10 @@
 // segments covered by the OLDEST retained snapshot — falling back past a
 // corrupt newest snapshot therefore never needs retired records.
 //
-// Every RefreshOptions::shards value is covered: shards only partition the
-// apply step, so there is one UpdateLog, one LSN order and one high-water
-// mark, and an image written at one shard count recovers at any other.
+// The image carries each tuned histogram's explicit entries and default
+// bucket but not its BucketRefinementTree, which is soft state: after a
+// restart a tuned column's range estimate equals the estimate from its
+// pre-checkpoint catalog histogram with the tree cleared (DESIGN.md §13).
 
 #pragma once
 

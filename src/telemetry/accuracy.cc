@@ -54,26 +54,6 @@ const AccuracyTracker::PerColumn* AccuracyTracker::FindOrCreate(
   return it->second.get();
 }
 
-void AccuracyTracker::ReportEstimationError(std::string_view table,
-                                            std::string_view column,
-                                            double estimated, double actual) {
-  if (std::isfinite(estimated) && std::isfinite(actual)) {
-    const PerColumn* state = FindOrCreate(table, column);
-    const double e = std::max(estimated, 1.0);
-    const double a = std::max(actual, 1.0);
-    state->reports->Increment();
-    if (e < a) {
-      state->underestimates->Increment();
-    } else if (e > a) {
-      state->overestimates->Increment();
-    }
-    state->qerror->Record(std::max(e / a, a / e));
-  }
-  if (next_ != nullptr) {
-    next_->ReportEstimationError(table, column, estimated, actual);
-  }
-}
-
 void AccuracyTracker::ReportPredicateOutcome(std::string_view table,
                                              std::string_view column,
                                              const PredicateOutcome& outcome) {
@@ -89,8 +69,6 @@ void AccuracyTracker::ReportPredicateOutcome(std::string_view table,
     }
     state->qerror->Record(std::max(e / a, a / e));
   }
-  // Forward the predicate form, not the flattened one: the interval is what
-  // a self-tuning sink downstream needs.
   if (next_ != nullptr) {
     next_->ReportPredicateOutcome(table, column, outcome);
   }

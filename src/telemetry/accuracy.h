@@ -82,12 +82,9 @@ class AccuracyTracker : public EstimationFeedbackSink {
   AccuracyTracker(const AccuracyTracker&) = delete;
   AccuracyTracker& operator=(const AccuracyTracker&) = delete;
 
-  void ReportEstimationError(std::string_view table, std::string_view column,
-                             double estimated, double actual) override;
-
-  /// Records the same q-error metrics, then forwards the predicate-shaped
-  /// report to `next` intact — so a self-tuning RefreshManager chained
-  /// behind the tracker still sees the probed value interval.
+  /// Records the outcome's q-error metrics, then forwards the report to
+  /// `next` intact — so a self-tuning RefreshManager chained behind the
+  /// tracker still sees the probed value interval.
   void ReportPredicateOutcome(std::string_view table, std::string_view column,
                               const PredicateOutcome& outcome) override;
 

@@ -24,7 +24,7 @@ TraceSpan** CurrentSpanSlot() { return &t_current_span; }
 
 // Sites are keyed by (registry, name, extra labels): tests with local
 // registries get isolated sites; the global registry gets process-wide
-// ones; labeled sites (e.g. Refresh.ShardTick{shard="2"}) are distinct
+// ones; labeled sites (e.g. Net.Request{endpoint="/estimate"}) are distinct
 // accumulators under one span name. The map is leaked (never destroyed)
 // so sites stay valid through static teardown; entries for a *local*
 // registry are dropped by its destructor via DropSpanSitesForRegistry.

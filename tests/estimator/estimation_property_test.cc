@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -87,6 +88,14 @@ ColumnStatistics RandomStats(Rng* rng) {
   return stats;
 }
 
+// The serving view of \p histogram, compiled as CatalogSnapshot::Compile
+// compiles it.
+std::shared_ptr<const CompiledHistogram> Compile(
+    const CatalogHistogram& histogram) {
+  return std::make_shared<const CompiledHistogram>(
+      CompiledHistogram::Compile(histogram));
+}
+
 RangeBounds RandomBounds(Rng* rng) {
   RangeBounds bounds;
   switch (rng->NextBounded(8)) {
@@ -128,7 +137,7 @@ TEST(EstimationPropertyTest, RangePathsMatchLinearReferenceBitForBit) {
     compiled.num_distinct = stats.num_distinct;
     compiled.min_value = stats.min_value;
     compiled.max_value = stats.max_value;
-    compiled.histogram = stats.histogram.compiled_shared();
+    compiled.histogram = Compile(stats.histogram);
     for (int q = 0; q < 40; ++q) {
       RangeBounds bounds = RandomBounds(&rng);
       auto reference = EstimateRangeSelectionLinear(stats, bounds);
@@ -154,7 +163,7 @@ TEST(EstimationPropertyTest, DisjunctiveMatchesHashSetReferenceBitForBit) {
     ColumnStatistics stats = RandomStats(&rng);
     CompiledColumnStats compiled;
     compiled.num_tuples = stats.num_tuples;
-    compiled.histogram = stats.histogram.compiled_shared();
+    compiled.histogram = Compile(stats.histogram);
     // Spans above and below the 64-entry inline buffer.
     const size_t len = 1 + rng.NextBounded(trial % 5 == 0 ? 200 : 40);
     std::vector<Value> values;
@@ -177,9 +186,9 @@ TEST(EstimationPropertyTest, PointAndJoinServingMatchLegacyBitForBit) {
     ColumnStatistics right = RandomStats(&rng);
     CompiledColumnStats cl, cr;
     cl.num_tuples = left.num_tuples;
-    cl.histogram = left.histogram.compiled_shared();
+    cl.histogram = Compile(left.histogram);
     cr.num_tuples = right.num_tuples;
-    cr.histogram = right.histogram.compiled_shared();
+    cr.histogram = Compile(right.histogram);
     for (int q = 0; q < 20; ++q) {
       const Value probe(rng.NextInt(-120, 120));
       EXPECT_EQ(EstimateEqualitySelection(left, probe),

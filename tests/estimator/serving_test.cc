@@ -229,10 +229,10 @@ class RecordingSink : public EstimationFeedbackSink {
     double actual;
   };
 
-  void ReportEstimationError(std::string_view table, std::string_view column,
-                             double estimated, double actual) override {
+  void ReportPredicateOutcome(std::string_view table, std::string_view column,
+                              const PredicateOutcome& outcome) override {
     reports.push_back(Report{std::string(table), std::string(column),
-                             estimated, actual});
+                             outcome.estimated, outcome.actual});
   }
 
   std::vector<Report> reports;

@@ -115,68 +115,44 @@ TEST(CompiledHistogramTest, EmptyHistogramCompiles) {
 }
 
 // ---------------------------------------------------------------------------
-// Serving coherence: mutations invalidate the cached compiled view.
+// Serving coherence: compiling a mutated histogram serves the mutation.
 
-TEST(CompiledHistogramTest, CachedViewInvalidatedByAdjust) {
+TEST(CompiledHistogramTest, CompileAfterAdjustSeesTheNewFrequency) {
   CatalogHistogram h = IntegerHistogram();
-  const CompiledHistogram& before = h.compiled();
-  EXPECT_EQ(before.LookupFrequency(0), 30.0);
-  ASSERT_TRUE(h.AdjustExplicitFrequency(0, +5.0));
-  const CompiledHistogram& after = h.compiled();
-  EXPECT_EQ(after.LookupFrequency(0), 35.0);
-  // The rebuilt view equals compiling from scratch.
-  CompiledHistogram fresh = CompiledHistogram::Compile(h);
-  EXPECT_EQ(after.explicit_mass_total(), fresh.explicit_mass_total());
-}
-
-TEST(CompiledHistogramTest, CachedViewInvalidatedBySetDefault) {
-  CatalogHistogram h = IntegerHistogram();
-  EXPECT_EQ(h.compiled().LookupFrequency(100), 3.0);  // default bucket
-  ASSERT_TRUE(h.SetDefaultFrequency(4.5).ok());
-  EXPECT_EQ(h.compiled().LookupFrequency(100), 4.5);
-}
-
-TEST(CompiledHistogramTest, FailedMutationKeepsCachedView) {
-  CatalogHistogram h = IntegerHistogram();
-  const CompiledHistogram* before = &h.compiled();
+  EXPECT_EQ(CompiledHistogram::Compile(h).LookupFrequency(0), 30.0);
   EXPECT_FALSE(h.AdjustExplicitFrequency(12345, +1.0));  // not explicit
-  EXPECT_FALSE(h.SetDefaultFrequency(-1.0).ok());        // invalid
-  EXPECT_EQ(before, &h.compiled());  // same cached object, no rebuild
+  EXPECT_TRUE(h == IntegerHistogram());
+  ASSERT_TRUE(h.AdjustExplicitFrequency(0, +5.0));
+  EXPECT_FALSE(h == IntegerHistogram());
+  const CompiledHistogram after = CompiledHistogram::Compile(h);
+  EXPECT_EQ(after.LookupFrequency(0), 35.0);
+  EXPECT_EQ(after.explicit_mass_total(), 7.0 + 35.0 + 20.0 + 1.0 + 12.0);
 }
 
-TEST(CompiledHistogramTest, CompiledSharedSurvivesMutation) {
+TEST(CompiledHistogramTest, CompileAfterSetDefaultSeesTheNewDefault) {
   CatalogHistogram h = IntegerHistogram();
-  std::shared_ptr<const CompiledHistogram> view = h.compiled_shared();
-  ASSERT_TRUE(h.AdjustExplicitFrequency(0, -10.0));
-  // The old view is immutable and still serves the old statistics (RCU).
-  EXPECT_EQ(view->LookupFrequency(0), 30.0);
-  EXPECT_EQ(h.compiled().LookupFrequency(0), 20.0);
+  EXPECT_EQ(CompiledHistogram::Compile(h).LookupFrequency(100), 3.0);
+  EXPECT_FALSE(h.SetDefaultFrequency(-1.0).ok());  // invalid, no change
+  EXPECT_EQ(CompiledHistogram::Compile(h).LookupFrequency(100), 3.0);
+  ASSERT_TRUE(h.SetDefaultFrequency(4.5).ok());
+  EXPECT_EQ(CompiledHistogram::Compile(h).LookupFrequency(100), 4.5);
 }
 
 TEST(CompiledHistogramTest, MaintainerCompiledStaysCoherent) {
   HistogramMaintainer maintainer(IntegerHistogram(), 100.0);
-  EXPECT_EQ(maintainer.compiled().LookupFrequency(2), 20.0);
   ASSERT_TRUE(maintainer.ApplyInsert(2).ok());
   ASSERT_TRUE(maintainer.ApplyInsert(2).ok());
   ASSERT_TRUE(maintainer.ApplyDelete(0).ok());
-  EXPECT_EQ(maintainer.compiled().LookupFrequency(2), 22.0);
-  EXPECT_EQ(maintainer.compiled().LookupFrequency(0), 29.0);
-  // Coherence: the served view equals compiling the maintained histogram.
-  CompiledHistogram fresh = CompiledHistogram::Compile(maintainer.current());
+  // Compiling the maintained histogram gives the maintained frequencies.
+  const CompiledHistogram compiled =
+      CompiledHistogram::Compile(maintainer.current());
+  EXPECT_EQ(compiled.LookupFrequency(2), 22.0);
+  EXPECT_EQ(compiled.LookupFrequency(0), 29.0);
   for (int64_t v = -10; v <= 50; ++v) {
-    EXPECT_EQ(maintainer.compiled().LookupFrequency(v),
-              fresh.LookupFrequency(v))
+    EXPECT_EQ(compiled.LookupFrequency(v),
+              maintainer.current().LookupFrequency(v))
         << "value " << v;
   }
-}
-
-TEST(CompiledHistogramTest, EqualityIgnoresCompiledCache) {
-  CatalogHistogram a = IntegerHistogram();
-  CatalogHistogram b = IntegerHistogram();
-  (void)a.compiled();  // a has a cache, b does not
-  EXPECT_TRUE(a == b);
-  ASSERT_TRUE(b.AdjustExplicitFrequency(0, 1.0));
-  EXPECT_FALSE(a == b);
 }
 
 TEST(CompiledHistogramTest, EncodeDecodeRoundTripKeepsCompiledCoherent) {

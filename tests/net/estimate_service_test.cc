@@ -21,8 +21,8 @@ namespace {
 
 class NullSink : public EstimationFeedbackSink {
  public:
-  void ReportEstimationError(std::string_view, std::string_view, double,
-                             double) override {}
+  void ReportPredicateOutcome(std::string_view, std::string_view,
+                              const PredicateOutcome&) override {}
 };
 
 HttpRequest MakeRequest(std::string method, std::string target,

@@ -145,11 +145,11 @@ std::string PostBinary(const std::string& target, const std::string& body) {
 
 class RecordingSink : public EstimationFeedbackSink {
  public:
-  void ReportEstimationError(std::string_view table, std::string_view column,
-                             double estimated, double actual) override {
+  void ReportPredicateOutcome(std::string_view table, std::string_view column,
+                              const PredicateOutcome& outcome) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    reports_.push_back({std::string(table), std::string(column), estimated,
-                        actual});
+    reports_.push_back({std::string(table), std::string(column),
+                        outcome.estimated, outcome.actual});
   }
 
   struct Report {

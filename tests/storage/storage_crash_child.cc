@@ -1,9 +1,9 @@
 // Child process for crash_recovery_test: opens the durable store over
-// <data_dir> with a RefreshManager of <shards> apply partitions, recovers,
-// registers four columns on a cold start, then churns delta batches across
-// them forever, bumping an "attempted" counter file BEFORE each RecordBatch
-// and an "acked" one AFTER it returns OK — until the parent SIGKILLs it
-// mid-stride. The parent then proves the WAL holds every acked record:
+// <data_dir> with a RefreshManager, recovers, registers four columns on a
+// cold start, then churns delta batches across them forever, bumping an
+// "attempted" counter file BEFORE each RecordBatch and an "acked" one
+// AFTER it returns OK — until the parent SIGKILLs it mid-stride. The
+// parent then proves the WAL holds every acked record:
 //
 //   acked <= replayed delta records <= attempted
 //
@@ -12,7 +12,7 @@
 // reads a consistent "how far did it get" even though the child never
 // fsyncs them.
 //
-// Usage: storage_crash_child <data_dir> <counter_dir> <shards>
+// Usage: storage_crash_child <data_dir> <counter_dir>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -54,15 +54,12 @@ void WriteCounter(int fd, uint64_t value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 4) {
-    std::fprintf(stderr, "usage: %s <data_dir> <counter_dir> <shards>\n",
-                 argv[0]);
+  if (argc != 3) {
+    std::fprintf(stderr, "usage: %s <data_dir> <counter_dir>\n", argv[0]);
     return 2;
   }
   const std::string data_dir = argv[1];
   const std::string counter_dir = argv[2];
-  hops::RefreshOptions refresh_options;
-  refresh_options.shards = std::strtoul(argv[3], nullptr, 10);
 
   // Counters continue across restarts, like the WAL they mirror.
   uint64_t attempted = 0;
@@ -72,7 +69,7 @@ int main(int argc, char** argv) {
 
   hops::Catalog catalog;
   hops::SnapshotStore store;
-  hops::RefreshManager manager(&catalog, &store, refresh_options);
+  hops::RefreshManager manager(&catalog, &store);
 
   hops::storage::StorageOptions options;
   options.data_dir = data_dir;

@@ -44,12 +44,23 @@ TEST(QErrorTest, AlwaysAtLeastOne) {
   }
 }
 
+// An outcome that pins down no value interval: only the error magnitude.
+PredicateOutcome Outcome(double estimated, double actual) {
+  PredicateOutcome outcome;
+  outcome.estimated = estimated;
+  outcome.actual = actual;
+  return outcome;
+}
+
 TEST(AccuracyTrackerTest, TracksUnderAndOverEstimates) {
   MetricRegistry registry;
   AccuracyTracker tracker(&registry);
-  tracker.ReportEstimationError("t0", "a", /*estimated=*/10, /*actual=*/100);
-  tracker.ReportEstimationError("t0", "a", /*estimated=*/100, /*actual=*/10);
-  tracker.ReportEstimationError("t0", "a", /*estimated=*/40, /*actual=*/40);
+  tracker.ReportPredicateOutcome("t0", "a",
+                                 Outcome(/*estimated=*/10, /*actual=*/100));
+  tracker.ReportPredicateOutcome("t0", "a",
+                                 Outcome(/*estimated=*/100, /*actual=*/10));
+  tracker.ReportPredicateOutcome("t0", "a",
+                                 Outcome(/*estimated=*/40, /*actual=*/40));
   EXPECT_EQ(tracker.num_columns(), 1u);
 
   const Result<ColumnAccuracy> report = tracker.ColumnReport("t0", "a");
@@ -71,9 +82,9 @@ TEST(AccuracyTrackerTest, TracksUnderAndOverEstimates) {
 TEST(AccuracyTrackerTest, ColumnsAreIndependentAndSorted) {
   MetricRegistry registry;
   AccuracyTracker tracker(&registry);
-  tracker.ReportEstimationError("t1", "b", 1, 1);
-  tracker.ReportEstimationError("t0", "a", 5, 10);
-  tracker.ReportEstimationError("t0", "a", 5, 10);
+  tracker.ReportPredicateOutcome("t1", "b", Outcome(1, 1));
+  tracker.ReportPredicateOutcome("t0", "a", Outcome(5, 10));
+  tracker.ReportPredicateOutcome("t0", "a", Outcome(5, 10));
   const std::vector<ColumnAccuracy> all = tracker.Report();
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].table, "t0");
@@ -97,7 +108,7 @@ TEST(AccuracyTrackerTest, UnknownColumnIsNotFound) {
 TEST(AccuracyTrackerTest, RegistersLabeledFamilies) {
   MetricRegistry registry;
   AccuracyTracker tracker(&registry);
-  tracker.ReportEstimationError("orders", "price", 8, 64);
+  tracker.ReportPredicateOutcome("orders", "price", Outcome(8, 64));
   const MetricsSnapshot snap = registry.Collect();
   const LabelSet labels = {{"table", "orders"}, {"column", "price"}};
   const MetricSnapshot* reports =
@@ -113,14 +124,13 @@ TEST(AccuracyTrackerTest, RegistersLabeledFamilies) {
 // A recording sink that remembers every report, to prove chaining.
 class RecordingSink : public EstimationFeedbackSink {
  public:
-  void ReportEstimationError(std::string_view table, std::string_view column,
-                             double estimated, double actual) override {
-    reports.push_back({std::string(table), std::string(column), estimated,
-                       actual});
+  void ReportPredicateOutcome(std::string_view table, std::string_view column,
+                              const PredicateOutcome& outcome) override {
+    reports.push_back({std::string(table), std::string(column), outcome});
   }
   struct Report {
     std::string table, column;
-    double estimated, actual;
+    PredicateOutcome outcome;
   };
   std::vector<Report> reports;
 };
@@ -129,14 +139,25 @@ TEST(AccuracyTrackerTest, ForwardsEveryReportToTheNextSink) {
   MetricRegistry registry;
   RecordingSink next;
   AccuracyTracker tracker(&registry, &next);
-  tracker.ReportEstimationError("t0", "a", 10, 20);
+  PredicateOutcome ranged = Outcome(10, 20);
+  ranged.kind = EstimateKind::kRange;
+  ranged.has_range = true;
+  ranged.lo = 3;
+  ranged.hi = 9;
+  tracker.ReportPredicateOutcome("t0", "a", ranged);
   // Non-finite reports are not *recorded* but still forwarded (the next
   // sink decides its own policy).
-  tracker.ReportEstimationError("t0", "a", std::nan(""), 20);
+  tracker.ReportPredicateOutcome("t0", "a", Outcome(std::nan(""), 20));
   ASSERT_EQ(next.reports.size(), 2u);
   EXPECT_EQ(next.reports[0].table, "t0");
-  EXPECT_DOUBLE_EQ(next.reports[0].estimated, 10.0);
-  EXPECT_DOUBLE_EQ(next.reports[0].actual, 20.0);
+  EXPECT_DOUBLE_EQ(next.reports[0].outcome.estimated, 10.0);
+  EXPECT_DOUBLE_EQ(next.reports[0].outcome.actual, 20.0);
+  // The probed interval reaches the next sink intact.
+  EXPECT_EQ(next.reports[0].outcome.kind, EstimateKind::kRange);
+  EXPECT_TRUE(next.reports[0].outcome.has_range);
+  EXPECT_EQ(next.reports[0].outcome.lo, 3);
+  EXPECT_EQ(next.reports[0].outcome.hi, 9);
+  EXPECT_FALSE(next.reports[1].outcome.has_range);
   const Result<ColumnAccuracy> report = tracker.ColumnReport("t0", "a");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->reports, 1u);  // the NaN report was skipped here

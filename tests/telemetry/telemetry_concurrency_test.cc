@@ -194,17 +194,19 @@ TEST(TelemetryConcurrencyTest, AccuracyTrackerConcurrentReports) {
   MetricRegistry registry;
   AccuracyTracker tracker(&registry);
   constexpr int kPerThread = 5000;
+  PredicateOutcome under;
+  under.estimated = 10;
+  under.actual = 20;
+  PredicateOutcome over;
+  over.estimated = 20;
+  over.actual = 10;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const std::string column = "c" + std::to_string(t % 2);
       for (int i = 0; i < kPerThread; ++i) {
         // Alternate 2x under / 2x over.
-        if (i % 2 == 0) {
-          tracker.ReportEstimationError("t0", column, 10, 20);
-        } else {
-          tracker.ReportEstimationError("t0", column, 20, 10);
-        }
+        tracker.ReportPredicateOutcome("t0", column, i % 2 == 0 ? under : over);
       }
     });
   }
