@@ -20,8 +20,9 @@
 //   selftune       — accuracy and cost of the §15 self-tuning layer on a
 //                    drifting-Zipf column: median q-error of a stale
 //                    v-optimal build vs the same build after feedback-driven
-//                    in-place tuning (no rebuild), the per-adjustment cost
-//                    against the phase-2 per-column rebuild cost, and a
+//                    in-place tuning (no rebuild), the cost per in-place
+//                    change (adjustment or promotion) against the phase-2
+//                    per-column rebuild cost, and a
 //                    fingerprint check that tuning-off + feedback is
 //                    bit-identical to never feeding at all. The exit code
 //                    reflects the determinism check — a fingerprint
@@ -469,19 +470,20 @@ int Run(int argc, char** argv) {
   const double stale_p90_q = Quantile(stale_q, 0.90);
   const double tuned_p90_q = Quantile(tuned_q, 0.90);
   const RefreshStats tuned_stats = tuned_rig->manager->stats();
-  const uint64_t tune_adjustments =
+  // Every in-place change the tuner made: damped adjustments plus
+  // default->explicit promotions. seconds_per_adjustment divides by this.
+  const uint64_t tune_changes =
       tuned_stats.tuning_adjustments + tuned_stats.tuning_promotions;
   const double seconds_per_adjustment =
-      tune_adjustments > 0
-          ? tune_seconds / static_cast<double>(tune_adjustments)
-          : 0;
+      tune_changes > 0 ? tune_seconds / static_cast<double>(tune_changes) : 0;
   const double rebuild_seconds_per_column =
       ids.empty() ? 0 : rebuild_seconds / static_cast<double>(ids.size());
   const bool selftune_bit_identical = fed_fingerprint == stale_fingerprint;
   std::cout << "  selftune: median q-error stale " << stale_median_q
             << " -> tuned " << tuned_median_q << " (" << selftune_rounds
-            << " rounds, " << tune_adjustments << " adjustments, "
-            << seconds_per_adjustment << "s each vs "
+            << " rounds, " << tuned_stats.tuning_adjustments
+            << " adjustments + " << tuned_stats.tuning_promotions
+            << " promotions, " << seconds_per_adjustment << "s per change vs "
             << rebuild_seconds_per_column << "s per rebuilt column, off-path "
             << (selftune_bit_identical ? "bit-identical" : "DIVERGED")
             << ")\n";
@@ -566,6 +568,7 @@ int Run(int argc, char** argv) {
   w.UInt(tuned_stats.tuning_observations);
   w.Key("tune_seconds_total");
   w.Double(tune_seconds);
+  // Per in-place change: tune_seconds_total / (adjustments + promotions).
   w.Key("seconds_per_adjustment");
   w.Double(seconds_per_adjustment);
   w.Key("rebuild_seconds_per_column");

@@ -15,7 +15,7 @@
 #   4. Run bench/bench_refresh, which measures the adaptive refresh
 #      subsystem (delta-apply throughput, batched rebuild latency, reader
 #      p50/p99 while the daemon churns, and the §15 selftune axis: tuned
-#      vs stale q-error on a drifting Zipf workload, per-adjustment cost
+#      vs stale q-error on a drifting Zipf workload, cost per in-place change
 #      vs a rebuild, tuning-off bit-identical) and writes
 #      BENCH_refresh.json.
 #   5. Run bench/bench_serving, which drives the epoll HTTP front-end over
@@ -148,8 +148,8 @@ assert tune["tuning_off_bit_identical"], (
     "tuning-off serving diverged from the never-fed baseline")
 print(f"selftune: median q-error {tune['stale_median_qerror']:.4f} stale -> "
       f"{tune['tuned_median_qerror']:.4f} tuned over {tune['rounds']} rounds, "
-      f"{tune['adjustments']} adjustments at "
-      f"{tune['seconds_per_adjustment']*1e6:.2f}us each "
+      f"{tune['adjustments']} adjustments + {tune['promotions']} promotions "
+      f"at {tune['seconds_per_adjustment']*1e6:.2f}us per change "
       f"({tune['adjustment_cost_vs_rebuild']:.2e} of a rebuild), "
       f"off-path bit-identical={tune['tuning_off_bit_identical']}")
 print(f"refresh: {apply_phase['deltas_per_second']:.0f} deltas/s applied, "

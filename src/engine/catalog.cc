@@ -1,43 +1,6 @@
 #include "engine/catalog.h"
 
-#include <cstring>
-
 namespace hops {
-
-namespace {
-
-constexpr uint32_t kCatalogMagic = 0x48434154;  // "HCAT"
-constexpr uint32_t kCatalogVersion = 1;
-
-template <typename T>
-void AppendPod(std::string* out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendPod(out, static_cast<uint64_t>(s.size()));
-  out->append(s);
-}
-
-template <typename T>
-bool ReadPod(std::string_view* in, T* v) {
-  if (in->size() < sizeof(T)) return false;
-  std::memcpy(v, in->data(), sizeof(T));
-  in->remove_prefix(sizeof(T));
-  return true;
-}
-
-bool ReadString(std::string_view* in, std::string* s) {
-  uint64_t len = 0;
-  if (!ReadPod(in, &len) || in->size() < len) return false;
-  s->assign(in->data(), len);
-  in->remove_prefix(len);
-  return true;
-}
-
-}  // namespace
 
 int64_t CatalogKeyFor(const Value& value) {
   if (value.is_int64()) return value.AsInt64();
@@ -99,60 +62,6 @@ std::vector<std::pair<std::string, std::string>> Catalog::ListEntries()
   keys.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) keys.push_back(key);
   return keys;
-}
-
-std::string Catalog::Serialize() const {
-  std::string out;
-  AppendPod(&out, kCatalogMagic);
-  AppendPod(&out, kCatalogVersion);
-  AppendPod(&out, static_cast<uint64_t>(entries_.size()));
-  for (const auto& [key, entry] : entries_) {
-    AppendString(&out, key.first);
-    AppendString(&out, key.second);
-    AppendPod(&out, entry.num_tuples);
-    AppendPod(&out, entry.num_distinct);
-    AppendPod(&out, entry.min_value);
-    AppendPod(&out, entry.max_value);
-    AppendString(&out, entry.encoded_histogram);
-  }
-  return out;
-}
-
-Result<Catalog> Catalog::Deserialize(std::string_view bytes) {
-  uint32_t magic = 0, version = 0;
-  if (!ReadPod(&bytes, &magic) || magic != kCatalogMagic) {
-    return Status::InvalidArgument("bad catalog magic");
-  }
-  if (!ReadPod(&bytes, &version) || version != kCatalogVersion) {
-    return Status::InvalidArgument("unsupported catalog version");
-  }
-  uint64_t count = 0;
-  if (!ReadPod(&bytes, &count)) {
-    return Status::InvalidArgument("truncated catalog");
-  }
-  Catalog catalog;
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string table, column;
-    Entry entry;
-    if (!ReadString(&bytes, &table) || !ReadString(&bytes, &column) ||
-        !ReadPod(&bytes, &entry.num_tuples) ||
-        !ReadPod(&bytes, &entry.num_distinct) ||
-        !ReadPod(&bytes, &entry.min_value) ||
-        !ReadPod(&bytes, &entry.max_value) ||
-        !ReadString(&bytes, &entry.encoded_histogram)) {
-      return Status::InvalidArgument("truncated catalog entry");
-    }
-    // Validate the embedded histogram now rather than on first read.
-    HOPS_RETURN_NOT_OK(
-        CatalogHistogram::Decode(entry.encoded_histogram).status());
-    catalog.entries_[{std::move(table), std::move(column)}] =
-        std::move(entry);
-    ++catalog.version_;
-  }
-  if (!bytes.empty()) {
-    return Status::InvalidArgument("trailing bytes after catalog");
-  }
-  return catalog;
 }
 
 size_t Catalog::TotalEncodedBytes() const {

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "engine/value.h"
@@ -58,18 +57,10 @@ class Catalog {
   /// storage-overhead number Section 4 trades against accuracy.
   size_t TotalEncodedBytes() const;
 
-  /// Serializes the whole catalog (all entries, metadata + encoded
-  /// histograms) to a byte string, so statistics survive restarts the way a
-  /// real system catalog would.
-  std::string Serialize() const;
-
-  /// Inverse of Serialize.
-  static Result<Catalog> Deserialize(std::string_view bytes);
-
   /// Monotonic in-memory mutation counter: bumped by every successful
-  /// PutColumnStatistics / DropColumnStatistics (and by Deserialize, once
-  /// per loaded entry). CatalogSnapshot::Compile records it so serving code
-  /// can tell whether a published snapshot is stale. Not persisted.
+  /// PutColumnStatistics / DropColumnStatistics. CatalogSnapshot::Compile
+  /// records it so serving code can tell whether a published snapshot is
+  /// stale. Not persisted.
   uint64_t version() const { return version_; }
 
  private:

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "histogram/tuning.h"
+#include "util/bytes.h"
 
 namespace hops {
 
@@ -16,21 +16,6 @@ constexpr uint32_t kVersion = 1;
 // default-bucket trailer; written only when a tree is installed, so
 // untuned histograms keep their historical byte-identical encoding.
 constexpr uint32_t kVersionRefined = 2;
-
-template <typename T>
-void AppendPod(std::string* out, T v) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out->append(buf, sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::string_view* in, T* v) {
-  if (in->size() < sizeof(T)) return false;
-  std::memcpy(v, in->data(), sizeof(T));
-  in->remove_prefix(sizeof(T));
-  return true;
-}
 
 }  // namespace
 
@@ -177,43 +162,42 @@ size_t CatalogHistogram::EncodedSize() const { return Encode().size(); }
 
 std::string CatalogHistogram::Encode() const {
   std::string out;
-  AppendPod(&out, kMagic);
-  AppendPod(&out, refinement_ == nullptr ? kVersion : kVersionRefined);
-  AppendPod(&out, static_cast<uint64_t>(explicit_entries_.size()));
+  AppendLE(&out, kMagic);
+  AppendLE(&out, refinement_ == nullptr ? kVersion : kVersionRefined);
+  AppendLE(&out, static_cast<uint64_t>(explicit_entries_.size()));
   for (const auto& [value, freq] : explicit_entries_) {
-    AppendPod(&out, value);
-    AppendPod(&out, freq);
+    AppendLE(&out, value);
+    AppendLE(&out, freq);
   }
-  AppendPod(&out, default_frequency_);
-  AppendPod(&out, num_default_values_);
+  AppendLE(&out, default_frequency_);
+  AppendLE(&out, num_default_values_);
   if (refinement_ != nullptr) {
-    AppendPod(&out, static_cast<uint64_t>(refinement_->num_leaves()));
-    AppendPod(&out, refinement_->domain_lo());
-    AppendPod(&out, refinement_->domain_hi());
-    for (double weight : refinement_->leaf_weights()) {
-      AppendPod(&out, weight);
-    }
+    AppendLE(&out, static_cast<uint64_t>(refinement_->num_leaves()));
+    AppendLE(&out, refinement_->domain_lo());
+    AppendLE(&out, refinement_->domain_hi());
+    AppendLEArray<double>(&out, refinement_->leaf_weights());
   }
   return out;
 }
 
 Result<CatalogHistogram> CatalogHistogram::Decode(std::string_view bytes) {
+  ByteReader reader(bytes);
   uint32_t magic = 0, version = 0;
-  if (!ReadPod(&bytes, &magic) || magic != kMagic) {
+  if (!reader.Read(&magic) || magic != kMagic) {
     return Status::InvalidArgument("bad catalog histogram magic");
   }
-  if (!ReadPod(&bytes, &version) ||
+  if (!reader.Read(&version) ||
       (version != kVersion && version != kVersionRefined)) {
     return Status::InvalidArgument("unsupported catalog histogram version");
   }
   uint64_t count = 0;
-  if (!ReadPod(&bytes, &count)) {
+  if (!reader.Read(&count)) {
     return Status::InvalidArgument("truncated catalog histogram");
   }
   // Guard the allocation against corrupted counts: every entry needs 16
   // bytes of remaining payload.
   constexpr uint64_t kEntryBytes = sizeof(int64_t) + sizeof(double);
-  if (count > bytes.size() / kEntryBytes) {
+  if (count > reader.remaining() / kEntryBytes) {
     return Status::InvalidArgument(
         "catalog histogram entry count exceeds payload");
   }
@@ -222,36 +206,28 @@ Result<CatalogHistogram> CatalogHistogram::Decode(std::string_view bytes) {
   for (uint64_t i = 0; i < count; ++i) {
     int64_t value;
     double freq;
-    if (!ReadPod(&bytes, &value) || !ReadPod(&bytes, &freq)) {
+    if (!reader.Read(&value) || !reader.Read(&freq)) {
       return Status::InvalidArgument("truncated catalog histogram entries");
     }
     entries.emplace_back(value, freq);
   }
   double default_freq;
   uint64_t num_default;
-  if (!ReadPod(&bytes, &default_freq) || !ReadPod(&bytes, &num_default)) {
+  if (!reader.Read(&default_freq) || !reader.Read(&num_default)) {
     return Status::InvalidArgument("truncated catalog histogram trailer");
   }
   std::shared_ptr<const BucketRefinementTree> refinement;
   if (version == kVersionRefined) {
     uint64_t leaves = 0;
     int64_t domain_lo = 0, domain_hi = 0;
-    if (!ReadPod(&bytes, &leaves) || !ReadPod(&bytes, &domain_lo) ||
-        !ReadPod(&bytes, &domain_hi)) {
+    if (!reader.Read(&leaves) || !reader.Read(&domain_lo) ||
+        !reader.Read(&domain_hi)) {
       return Status::InvalidArgument("truncated refinement tree header");
     }
-    if (leaves == 0 || leaves > bytes.size() / sizeof(double)) {
+    std::vector<double> weights;
+    if (leaves == 0 || !reader.ReadArray(leaves, &weights)) {
       return Status::InvalidArgument(
           "refinement tree leaf count exceeds payload");
-    }
-    std::vector<double> weights;
-    weights.reserve(leaves);
-    for (uint64_t i = 0; i < leaves; ++i) {
-      double weight;
-      if (!ReadPod(&bytes, &weight)) {
-        return Status::InvalidArgument("truncated refinement tree leaves");
-      }
-      weights.push_back(weight);
     }
     HOPS_ASSIGN_OR_RETURN(BucketRefinementTree tree,
                           BucketRefinementTree::FromWeights(
@@ -259,7 +235,7 @@ Result<CatalogHistogram> CatalogHistogram::Decode(std::string_view bytes) {
     refinement =
         std::make_shared<const BucketRefinementTree>(std::move(tree));
   }
-  if (!bytes.empty()) {
+  if (reader.remaining() != 0) {
     return Status::InvalidArgument("trailing bytes after catalog histogram");
   }
   HOPS_ASSIGN_OR_RETURN(CatalogHistogram out,

@@ -1,11 +1,10 @@
-// Binary batch codec (net/wire_format.h). Byte order is explicit
-// little-endian — assembled and disassembled byte by byte so the frame
-// layout is identical on any host.
+// Binary batch codec (net/wire_format.h). Fields are written and read with
+// the shared little-endian codec (util/bytes.h), so the frame layout is
+// identical on any host.
 
 #include "net/wire_format.h"
 
-#include <bit>
-#include <cstring>
+#include "util/bytes.h"
 
 namespace hops::net {
 
@@ -21,91 +20,6 @@ constexpr uint8_t kFlagIncludeLow = 1u << 0;
 constexpr uint8_t kFlagIncludeHigh = 1u << 1;
 constexpr uint8_t kFlagValueIsString = 1u << 2;
 
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// Bounds-checked little-endian reader over one frame.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool Take(size_t n, std::string_view* out) {
-    if (bytes_.size() - pos_ < n) return false;
-    *out = bytes_.substr(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool U16(uint16_t* out) { return Uint(2, out); }
-  bool U32(uint32_t* out) { return Uint(4, out); }
-  bool U64(uint64_t* out) { return Uint(8, out); }
-
-  bool I64(int64_t* out) {
-    uint64_t raw;
-    if (!U64(&raw)) return false;
-    *out = static_cast<int64_t>(raw);
-    return true;
-  }
-
-  bool F64(double* out) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
-
-  bool U8(uint8_t* out) {
-    uint64_t raw;
-    if (!Uint(1, &raw)) return false;
-    *out = static_cast<uint8_t>(raw);
-    return true;
-  }
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  template <typename T>
-  bool Uint(size_t n, T* out) {
-    if (bytes_.size() - pos_ < n) return false;
-    uint64_t v = 0;
-    for (size_t i = 0; i < n; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += n;
-    *out = static_cast<T>(v);
-    return true;
-  }
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
 Status Malformed(std::string_view detail) {
   return Status::InvalidArgument("malformed batch frame: " +
                                  std::string(detail));
@@ -118,9 +32,9 @@ std::string EncodeBatchRequest(std::span<const WireSpec> specs) {
   // Header + preludes exactly; name bytes grow on top.
   out.reserve(kFrameHeaderBytes + specs.size() * (kSpecPreludeBytes + 16));
   out += kRequestMagic;
-  PutU16(&out, kBatchWireVersion);
-  PutU16(&out, 0);
-  PutU32(&out, static_cast<uint32_t>(specs.size()));
+  AppendLE(&out, kBatchWireVersion);
+  AppendLE<uint16_t>(&out, 0);
+  AppendLE(&out, static_cast<uint32_t>(specs.size()));
   for (const WireSpec& spec : specs) {
     const bool join = spec.kind == WireSpec::Kind::kJoin;
     const std::string_view value =
@@ -130,16 +44,16 @@ std::string EncodeBatchRequest(std::span<const WireSpec> specs) {
     if (spec.include_low) flags |= kFlagIncludeLow;
     if (spec.include_high) flags |= kFlagIncludeHigh;
     if (spec.value_is_string) flags |= kFlagValueIsString;
-    out.push_back(static_cast<char>(spec.kind));
-    out.push_back(static_cast<char>(flags));
-    PutU16(&out, static_cast<uint16_t>(spec.table.size()));
-    PutU16(&out, static_cast<uint16_t>(spec.column.size()));
-    PutU16(&out, static_cast<uint16_t>(join ? spec.right_table.size() : 0));
-    PutU16(&out, static_cast<uint16_t>(join ? spec.right_column.size() : 0));
-    PutU16(&out, static_cast<uint16_t>(value.size()));
-    PutU32(&out, 0);
-    PutI64(&out, spec.a);
-    PutI64(&out, spec.b);
+    AppendLE(&out, static_cast<uint8_t>(spec.kind));
+    AppendLE(&out, flags);
+    AppendLE(&out, static_cast<uint16_t>(spec.table.size()));
+    AppendLE(&out, static_cast<uint16_t>(spec.column.size()));
+    AppendLE(&out, static_cast<uint16_t>(join ? spec.right_table.size() : 0));
+    AppendLE(&out, static_cast<uint16_t>(join ? spec.right_column.size() : 0));
+    AppendLE(&out, static_cast<uint16_t>(value.size()));
+    AppendLE<uint32_t>(&out, 0);
+    AppendLE(&out, spec.a);
+    AppendLE(&out, spec.b);
     out += spec.table;
     out += spec.column;
     if (join) {
@@ -152,14 +66,15 @@ std::string EncodeBatchRequest(std::span<const WireSpec> specs) {
 }
 
 Result<std::vector<WireSpec>> DecodeBatchRequest(std::string_view body) {
-  Reader reader(body);
+  ByteReader reader(body);
   std::string_view magic;
   if (!reader.Take(kRequestMagic.size(), &magic) || magic != kRequestMagic) {
     return Malformed("bad magic (want HOPB)");
   }
   uint16_t version = 0, reserved16 = 0;
   uint32_t count = 0;
-  if (!reader.U16(&version) || !reader.U16(&reserved16) || !reader.U32(&count)) {
+  if (!reader.Read(&version) || !reader.Read(&reserved16) ||
+      !reader.Read(&count)) {
     return Malformed("truncated header");
   }
   if (version != kBatchWireVersion) {
@@ -178,11 +93,11 @@ Result<std::vector<WireSpec>> DecodeBatchRequest(std::string_view body) {
     uint16_t table_len = 0, column_len = 0, right_table_len = 0,
              right_column_len = 0, value_len = 0;
     uint32_t reserved32 = 0;
-    if (!reader.U8(&kind) || !reader.U8(&flags) || !reader.U16(&table_len) ||
-        !reader.U16(&column_len) || !reader.U16(&right_table_len) ||
-        !reader.U16(&right_column_len) || !reader.U16(&value_len) ||
-        !reader.U32(&reserved32) || !reader.I64(&spec.a) ||
-        !reader.I64(&spec.b)) {
+    if (!reader.Read(&kind) || !reader.Read(&flags) ||
+        !reader.Read(&table_len) || !reader.Read(&column_len) ||
+        !reader.Read(&right_table_len) || !reader.Read(&right_column_len) ||
+        !reader.Read(&value_len) || !reader.Read(&reserved32) ||
+        !reader.Read(&spec.a) || !reader.Read(&spec.b)) {
       return Malformed("truncated spec prelude");
     }
     if (kind > static_cast<uint8_t>(WireSpec::Kind::kJoin)) {
@@ -233,20 +148,20 @@ std::string EncodeBatchResponse(uint64_t snapshot_version,
   std::string out;
   out.reserve(kFrameHeaderBytes + 8 + results.size() * kResultRecordBytes);
   out += kResponseMagic;
-  PutU16(&out, kBatchWireVersion);
-  PutU16(&out, 0);
-  PutU32(&out, static_cast<uint32_t>(results.size()));
-  PutU64(&out, snapshot_version);
+  AppendLE(&out, kBatchWireVersion);
+  AppendLE<uint16_t>(&out, 0);
+  AppendLE(&out, static_cast<uint32_t>(results.size()));
+  AppendLE(&out, snapshot_version);
   for (const WireResult& result : results) {
-    PutU32(&out, static_cast<uint32_t>(result.status));
-    PutU32(&out, 0);
-    PutF64(&out, result.status == WireStatus::kOk ? result.estimate : 0.0);
+    AppendLE(&out, static_cast<uint32_t>(result.status));
+    AppendLE<uint32_t>(&out, 0);
+    AppendLE(&out, result.status == WireStatus::kOk ? result.estimate : 0.0);
   }
   return out;
 }
 
 Result<WireResponse> DecodeBatchResponse(std::string_view body) {
-  Reader reader(body);
+  ByteReader reader(body);
   std::string_view magic;
   if (!reader.Take(kResponseMagic.size(), &magic) || magic != kResponseMagic) {
     return Malformed("bad magic (want HOPR)");
@@ -254,8 +169,8 @@ Result<WireResponse> DecodeBatchResponse(std::string_view body) {
   uint16_t version = 0, reserved16 = 0;
   uint32_t count = 0;
   WireResponse response;
-  if (!reader.U16(&version) || !reader.U16(&reserved16) ||
-      !reader.U32(&count) || !reader.U64(&response.snapshot_version)) {
+  if (!reader.Read(&version) || !reader.Read(&reserved16) ||
+      !reader.Read(&count) || !reader.Read(&response.snapshot_version)) {
     return Malformed("truncated header");
   }
   if (version != kBatchWireVersion) {
@@ -269,8 +184,8 @@ Result<WireResponse> DecodeBatchResponse(std::string_view body) {
   for (uint32_t i = 0; i < count; ++i) {
     WireResult result;
     uint32_t status = 0, reserved32 = 0;
-    if (!reader.U32(&status) || !reader.U32(&reserved32) ||
-        !reader.F64(&result.estimate)) {
+    if (!reader.Read(&status) || !reader.Read(&reserved32) ||
+        !reader.Read(&result.estimate)) {
       return Malformed("truncated result record");
     }
     if (status > static_cast<uint32_t>(WireStatus::kEstimateFailed)) {

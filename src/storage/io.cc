@@ -18,6 +18,8 @@ std::string Errno(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + ::strerror(errno);
 }
 
+}  // namespace
+
 Status WriteAll(int fd, const char* data, size_t size,
                 const std::string& path) {
   while (size > 0) {
@@ -31,8 +33,6 @@ Status WriteAll(int fd, const char* data, size_t size,
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Result<std::string> ReadFileToString(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

@@ -1,16 +1,25 @@
 // POSIX file plumbing shared by the durable storage layer (DESIGN.md §13):
-// whole-file reads, crash-atomic writes (temp file + fsync + rename + parent
-// directory fsync), and directory listing. Kept apart from the format code
-// so snapshot_file.cc and wal.cc stay about bytes, not syscalls.
+// the one write(2) loop, whole-file reads, crash-atomic writes (temp file +
+// fsync + rename + parent directory fsync), and directory listing. Kept
+// apart from the format code so snapshot_file.cc and wal.cc stay about
+// bytes, not syscalls.
 
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
 
 namespace hops::storage {
+
+/// \brief Writes all \p size bytes at \p data to \p fd, retrying short
+/// writes and EINTR. Every storage write(2) goes through here; \p path only
+/// names the file in the error.
+Status WriteAll(int fd, const char* data, size_t size,
+                const std::string& path);
 
 /// \brief Reads the whole file at \p path. NotFound when absent; Internal
 /// on any other I/O failure.

@@ -69,7 +69,6 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
     return Status::InvalidArgument("storage data_dir must not be empty");
   }
   if (options.keep_snapshots == 0) options.keep_snapshots = 1;
-  options.wal.fsync = options.durability;
   HOPS_RETURN_NOT_OK(EnsureDir(options.data_dir));
   return std::unique_ptr<RecoveryManager>(
       new RecoveryManager(std::move(options)));
@@ -136,9 +135,9 @@ Status RecoveryManager::RecoverAndAttach(RefreshManager* manager) {
 
   // 4: open the writer past everything ever assigned, then attach.
   const uint64_t next_lsn = std::max(min_lsn, replay.max_lsn) + 1;
-  HOPS_ASSIGN_OR_RETURN(wal_,
-                        WalWriter::Open(options_.data_dir, next_lsn,
-                                        options_.wal));
+  HOPS_ASSIGN_OR_RETURN(
+      wal_, WalWriter::Open(options_.data_dir, next_lsn,
+                            WalOptions{.fsync = options_.durability}));
   manager_ = manager;
   manager_->AttachDurability(this);
 

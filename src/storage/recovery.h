@@ -48,7 +48,6 @@ struct StorageOptions {
   /// Snapshots retained after a checkpoint (>= 1). Two means one corrupt
   /// newest snapshot still leaves a recoverable older one with its WAL.
   size_t keep_snapshots = 2;
-  WalOptions wal;
 };
 
 /// \brief What recovery found, for logs/metrics.

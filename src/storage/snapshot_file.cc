@@ -2,43 +2,19 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "storage/io.h"
+#include "util/bytes.h"
 #include "util/crc32c.h"
 
 namespace hops::storage {
 
 namespace {
 
-// Little-endian POD append/read, the same idiom as engine/catalog.cc. The
-// supported platforms are little-endian; a big-endian port would byteswap
-// here and nowhere else.
-template <typename T>
-void AppendPod(std::string* out, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool ReadPod(std::string_view* in, T* v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (in->size() < sizeof(T)) return false;
-  std::memcpy(v, in->data(), sizeof(T));
-  in->remove_prefix(sizeof(T));
-  return true;
-}
-
-template <typename T>
-void AppendArray(std::string* out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
 constexpr size_t kHeaderBytes = 32;
 constexpr size_t kSectionEntryBytes = 32;
 
-// One fixed-width kColumns record: 19 packed fields (see Append below).
+// One fixed-width kColumns record: 20 packed fields (see EncodeSnapshot).
 constexpr size_t kColumnRecordBytes =
     8 * 15 +  // doubles / u64 / i64 fields
     4 +       // u32 flags
@@ -88,7 +64,7 @@ bool ParseSnapshotFileName(std::string_view name, uint64_t* seq) {
 std::string EncodeSnapshot(uint64_t seq, const RefreshDurableState& state) {
   // Build every section payload, then lay them out behind the table.
   std::string meta;
-  AppendPod<uint64_t>(&meta, state.columns.size());
+  AppendLE<uint64_t>(&meta, state.columns.size());
 
   std::string names;
   std::string columns;
@@ -97,34 +73,34 @@ std::string EncodeSnapshot(uint64_t seq, const RefreshDurableState& state) {
   std::vector<int64_t> ideal_values;
   std::vector<double> ideal_counts;
   for (const ColumnDurableState& c : state.columns) {
-    AppendPod<uint32_t>(&names, static_cast<uint32_t>(c.table.size()));
-    AppendPod<uint32_t>(&names, static_cast<uint32_t>(c.column.size()));
+    AppendLE<uint32_t>(&names, static_cast<uint32_t>(c.table.size()));
+    AppendLE<uint32_t>(&names, static_cast<uint32_t>(c.column.size()));
     names += c.table;
     names += c.column;
 
-    AppendPod<double>(&columns, c.default_frequency);
-    AppendPod<uint64_t>(&columns, c.num_default_values);
-    AppendPod<double>(&columns, c.maintainer.num_tuples);
-    AppendPod<double>(&columns, c.maintainer.tuples_at_build);
-    AppendPod<uint64_t>(&columns, c.maintainer.updates_applied);
-    AppendPod<double>(&columns, c.maintainer.drift);
-    AppendPod<int64_t>(&columns, c.maintainer.hot_value);
-    AppendPod<double>(&columns, c.maintainer.hot_count);
-    AppendPod<double>(&columns, c.tuples_at_build);
-    AppendPod<int64_t>(&columns, c.min_value);
-    AppendPod<int64_t>(&columns, c.max_value);
-    AppendPod<uint64_t>(&columns, c.distinct);
-    AppendPod<double>(&columns, c.feedback_ewma);
-    AppendPod<uint64_t>(&columns, c.deltas_since_rebuild);
-    AppendPod<uint64_t>(&columns, c.rebuilds);
+    AppendLE<double>(&columns, c.default_frequency);
+    AppendLE<uint64_t>(&columns, c.num_default_values);
+    AppendLE<double>(&columns, c.maintainer.num_tuples);
+    AppendLE<double>(&columns, c.maintainer.tuples_at_build);
+    AppendLE<uint64_t>(&columns, c.maintainer.updates_applied);
+    AppendLE<double>(&columns, c.maintainer.drift);
+    AppendLE<int64_t>(&columns, c.maintainer.hot_value);
+    AppendLE<double>(&columns, c.maintainer.hot_count);
+    AppendLE<double>(&columns, c.tuples_at_build);
+    AppendLE<int64_t>(&columns, c.min_value);
+    AppendLE<int64_t>(&columns, c.max_value);
+    AppendLE<uint64_t>(&columns, c.distinct);
+    AppendLE<double>(&columns, c.feedback_ewma);
+    AppendLE<uint64_t>(&columns, c.deltas_since_rebuild);
+    AppendLE<uint64_t>(&columns, c.rebuilds);
     uint32_t flags = 0;
     if (c.maintainer.hot_valid) flags |= kFlagHotValid;
     if (c.has_feedback) flags |= kFlagHasFeedback;
-    AppendPod<uint32_t>(&columns, flags);
-    AppendPod<uint64_t>(&columns, explicit_values.size());
-    AppendPod<uint64_t>(&columns, c.explicit_values.size());
-    AppendPod<uint64_t>(&columns, ideal_values.size());
-    AppendPod<uint64_t>(&columns, c.ideal_values.size());
+    AppendLE<uint32_t>(&columns, flags);
+    AppendLE<uint64_t>(&columns, explicit_values.size());
+    AppendLE<uint64_t>(&columns, c.explicit_values.size());
+    AppendLE<uint64_t>(&columns, ideal_values.size());
+    AppendLE<uint64_t>(&columns, c.ideal_values.size());
 
     explicit_values.insert(explicit_values.end(), c.explicit_values.begin(),
                            c.explicit_values.end());
@@ -136,13 +112,13 @@ std::string EncodeSnapshot(uint64_t seq, const RefreshDurableState& state) {
                         c.ideal_counts.end());
   }
   std::string explicit_values_bytes;
-  AppendArray(&explicit_values_bytes, explicit_values);
+  AppendLEArray<int64_t>(&explicit_values_bytes, explicit_values);
   std::string explicit_freqs_bytes;
-  AppendArray(&explicit_freqs_bytes, explicit_freqs);
+  AppendLEArray<double>(&explicit_freqs_bytes, explicit_freqs);
   std::string ideal_values_bytes;
-  AppendArray(&ideal_values_bytes, ideal_values);
+  AppendLEArray<int64_t>(&ideal_values_bytes, ideal_values);
   std::string ideal_counts_bytes;
-  AppendArray(&ideal_counts_bytes, ideal_counts);
+  AppendLEArray<double>(&ideal_counts_bytes, ideal_counts);
 
   const std::pair<SnapshotSection, const std::string*> sections[] = {
       {SnapshotSection::kMeta, &meta},
@@ -160,24 +136,24 @@ std::string EncodeSnapshot(uint64_t seq, const RefreshDurableState& state) {
               names.size() + columns.size() + explicit_values_bytes.size() +
               explicit_freqs_bytes.size() + ideal_values_bytes.size() +
               ideal_counts_bytes.size());
-  AppendPod<uint32_t>(&out, kSnapshotMagic);
-  AppendPod<uint32_t>(&out, kSnapshotVersion);
-  AppendPod<uint64_t>(&out, seq);
-  AppendPod<uint64_t>(&out, state.high_water_lsn);
-  AppendPod<uint32_t>(&out, num_sections);
+  AppendLE<uint32_t>(&out, kSnapshotMagic);
+  AppendLE<uint32_t>(&out, kSnapshotVersion);
+  AppendLE<uint64_t>(&out, seq);
+  AppendLE<uint64_t>(&out, state.high_water_lsn);
+  AppendLE<uint32_t>(&out, num_sections);
   // header_crc placeholder — patched once the section table is in place.
   const size_t crc_pos = out.size();
-  AppendPod<uint32_t>(&out, 0);
+  AppendLE<uint32_t>(&out, 0);
 
   uint64_t payload_offset =
       kHeaderBytes + static_cast<uint64_t>(num_sections) * kSectionEntryBytes;
   for (const auto& [kind, payload] : sections) {
-    AppendPod<uint32_t>(&out, static_cast<uint32_t>(kind));
-    AppendPod<uint32_t>(&out, 0);  // reserved
-    AppendPod<uint64_t>(&out, payload_offset);
-    AppendPod<uint64_t>(&out, payload->size());
-    AppendPod<uint32_t>(&out, Crc32c(payload->data(), payload->size()));
-    AppendPod<uint32_t>(&out, 0);  // padding
+    AppendLE<uint32_t>(&out, static_cast<uint32_t>(kind));
+    AppendLE<uint32_t>(&out, 0);  // reserved
+    AppendLE<uint64_t>(&out, payload_offset);
+    AppendLE<uint64_t>(&out, payload->size());
+    AppendLE<uint32_t>(&out, Crc32c(payload->data(), payload->size()));
+    AppendLE<uint32_t>(&out, 0);  // padding
     payload_offset += payload->size();
   }
   // The header CRC covers the first 28 bytes plus the whole section table,
@@ -185,7 +161,7 @@ std::string EncodeSnapshot(uint64_t seq, const RefreshDurableState& state) {
   uint32_t header_crc = Crc32c(out.data(), crc_pos);
   header_crc = Crc32cExtend(header_crc, out.data() + kHeaderBytes,
                             out.size() - kHeaderBytes);
-  std::memcpy(out.data() + crc_pos, &header_crc, sizeof(header_crc));
+  StoreLE(out.data() + crc_pos, header_crc);
 
   for (const auto& [kind, payload] : sections) out += *payload;
   return out;
@@ -196,12 +172,12 @@ namespace {
 // Validates the header + section table of `bytes`; fills `entries`.
 Status ParseHeader(std::string_view bytes, uint64_t* seq, uint64_t* high_water,
                    std::vector<SectionEntry>* entries) {
-  std::string_view cursor = bytes;
+  ByteReader reader(bytes);
   uint32_t magic, version, num_sections, header_crc;
   uint64_t seq_value, high_water_value;
-  if (!ReadPod(&cursor, &magic) || !ReadPod(&cursor, &version) ||
-      !ReadPod(&cursor, &seq_value) || !ReadPod(&cursor, &high_water_value) ||
-      !ReadPod(&cursor, &num_sections) || !ReadPod(&cursor, &header_crc)) {
+  if (!reader.Read(&magic) || !reader.Read(&version) ||
+      !reader.Read(&seq_value) || !reader.Read(&high_water_value) ||
+      !reader.Read(&num_sections) || !reader.Read(&header_crc)) {
     return Corrupt("truncated header");
   }
   if (magic != kSnapshotMagic) return Corrupt("bad magic");
@@ -222,9 +198,9 @@ Status ParseHeader(std::string_view bytes, uint64_t* seq, uint64_t* high_water,
   for (uint32_t i = 0; i < num_sections; ++i) {
     SectionEntry entry;
     uint32_t reserved, pad;
-    if (!ReadPod(&cursor, &entry.kind) || !ReadPod(&cursor, &reserved) ||
-        !ReadPod(&cursor, &entry.offset) || !ReadPod(&cursor, &entry.length) ||
-        !ReadPod(&cursor, &entry.crc) || !ReadPod(&cursor, &pad)) {
+    if (!reader.Read(&entry.kind) || !reader.Read(&reserved) ||
+        !reader.Read(&entry.offset) || !reader.Read(&entry.length) ||
+        !reader.Read(&entry.crc) || !reader.Read(&pad)) {
       return Corrupt("truncated section table");
     }
     if (entry.offset > bytes.size() ||
@@ -265,14 +241,10 @@ Result<std::string_view> SectionPayload(std::string_view bytes,
 template <typename T>
 Status CopyArraySection(std::string_view payload, std::vector<T>* out,
                         const char* what) {
-  if (payload.size() % sizeof(T) != 0) {
+  if (payload.size() % sizeof(T) != 0 ||
+      !ByteReader(payload).ReadArray(payload.size() / sizeof(T), out)) {
     return Corrupt(std::string(what) + " length not a multiple of " +
                    std::to_string(sizeof(T)));
-  }
-  out->resize(payload.size() / sizeof(T));
-  // An empty section leaves out->data() null, which memcpy must not see.
-  if (!payload.empty()) {
-    std::memcpy(out->data(), payload.data(), payload.size());
   }
   return Status::OK();
 }
@@ -289,7 +261,7 @@ Result<RefreshDurableState> DecodeSnapshot(std::string_view bytes,
   HOPS_ASSIGN_OR_RETURN(std::string_view meta,
                         SectionPayload(bytes, table, SnapshotSection::kMeta));
   uint64_t num_columns = 0;
-  if (!ReadPod(&meta, &num_columns)) return Corrupt("truncated meta");
+  if (!ByteReader(meta).Read(&num_columns)) return Corrupt("truncated meta");
   // A column contributes at least its two name-length prefixes, so this
   // bound rejects absurd counts before any allocation.
   HOPS_ASSIGN_OR_RETURN(std::string_view names,
@@ -330,40 +302,39 @@ Result<RefreshDurableState> DecodeSnapshot(std::string_view bytes,
     return Corrupt("ideal arrays disagree in length");
   }
 
+  ByteReader name_reader(names);
+  ByteReader records(columns);
   state.columns.resize(num_columns);
   for (uint64_t i = 0; i < num_columns; ++i) {
     ColumnDurableState& c = state.columns[i];
     uint32_t table_len, column_len;
-    if (!ReadPod(&names, &table_len) || !ReadPod(&names, &column_len) ||
-        names.size() < static_cast<size_t>(table_len) + column_len) {
+    std::string_view table_name, column_name;
+    if (!name_reader.Read(&table_len) || !name_reader.Read(&column_len) ||
+        !name_reader.Take(table_len, &table_name) ||
+        !name_reader.Take(column_len, &column_name)) {
       return Corrupt("truncated names");
     }
-    c.table.assign(names.substr(0, table_len));
-    names.remove_prefix(table_len);
-    c.column.assign(names.substr(0, column_len));
-    names.remove_prefix(column_len);
+    c.table.assign(table_name);
+    c.column.assign(column_name);
 
     uint32_t flags = 0;
     uint64_t explicit_offset, explicit_count, ideal_offset, ideal_count;
-    bool ok = ReadPod(&columns, &c.default_frequency) &&
-              ReadPod(&columns, &c.num_default_values) &&
-              ReadPod(&columns, &c.maintainer.num_tuples) &&
-              ReadPod(&columns, &c.maintainer.tuples_at_build) &&
-              ReadPod(&columns, &c.maintainer.updates_applied) &&
-              ReadPod(&columns, &c.maintainer.drift) &&
-              ReadPod(&columns, &c.maintainer.hot_value) &&
-              ReadPod(&columns, &c.maintainer.hot_count) &&
-              ReadPod(&columns, &c.tuples_at_build) &&
-              ReadPod(&columns, &c.min_value) &&
-              ReadPod(&columns, &c.max_value) &&
-              ReadPod(&columns, &c.distinct) &&
-              ReadPod(&columns, &c.feedback_ewma) &&
-              ReadPod(&columns, &c.deltas_since_rebuild) &&
-              ReadPod(&columns, &c.rebuilds) && ReadPod(&columns, &flags) &&
-              ReadPod(&columns, &explicit_offset) &&
-              ReadPod(&columns, &explicit_count) &&
-              ReadPod(&columns, &ideal_offset) &&
-              ReadPod(&columns, &ideal_count);
+    bool ok = records.Read(&c.default_frequency) &&
+              records.Read(&c.num_default_values) &&
+              records.Read(&c.maintainer.num_tuples) &&
+              records.Read(&c.maintainer.tuples_at_build) &&
+              records.Read(&c.maintainer.updates_applied) &&
+              records.Read(&c.maintainer.drift) &&
+              records.Read(&c.maintainer.hot_value) &&
+              records.Read(&c.maintainer.hot_count) &&
+              records.Read(&c.tuples_at_build) &&
+              records.Read(&c.min_value) && records.Read(&c.max_value) &&
+              records.Read(&c.distinct) && records.Read(&c.feedback_ewma) &&
+              records.Read(&c.deltas_since_rebuild) &&
+              records.Read(&c.rebuilds) && records.Read(&flags) &&
+              records.Read(&explicit_offset) &&
+              records.Read(&explicit_count) && records.Read(&ideal_offset) &&
+              records.Read(&ideal_count);
     if (!ok) return Corrupt("truncated column record");
     c.maintainer.hot_valid = (flags & kFlagHotValid) != 0;
     c.has_feedback = (flags & kFlagHasFeedback) != 0;

@@ -11,37 +11,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "storage/io.h"
 #include "telemetry/trace.h"
+#include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/stopwatch.h"
 
 namespace hops::storage {
 
 namespace {
-
-template <typename T>
-void AppendPod(std::string* out, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-void WritePod(char* out, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::memcpy(out, &v, sizeof(v));
-}
-
-template <typename T>
-bool ReadPod(std::string_view* in, T* v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (in->size() < sizeof(T)) return false;
-  std::memcpy(v, in->data(), sizeof(T));
-  in->remove_prefix(sizeof(T));
-  return true;
-}
 
 constexpr uint32_t kFrameDeltaBatch = 1;
 constexpr uint32_t kFrameRegistration = 2;
@@ -117,7 +96,8 @@ Status WalWriter::OpenSegmentLocked() {
     fd_ = -1;
   }
   segment_first_lsn_ = next_lsn_;
-  const std::string path = dir_ + "/" + WalSegmentFileName(segment_first_lsn_);
+  segment_path_ = dir_ + "/" + WalSegmentFileName(segment_first_lsn_);
+  const std::string& path = segment_path_;
   fd_ = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_APPEND | O_CLOEXEC,
                0644);
   if (fd_ < 0 && errno == EEXIST) {
@@ -136,23 +116,12 @@ Status WalWriter::OpenSegmentLocked() {
   }
   std::string header;
   header.reserve(kSegmentHeaderBytes);
-  AppendPod<uint32_t>(&header, kWalMagic);
-  AppendPod<uint32_t>(&header, kWalVersion);
-  AppendPod<uint64_t>(&header, segment_first_lsn_);
-  AppendPod<uint32_t>(&header, Crc32c(header.data(), header.size()));
-  AppendPod<uint32_t>(&header, 0);  // padding
-  const char* data = header.data();
-  size_t size = header.size();
-  while (size > 0) {
-    const ssize_t n = ::write(fd_, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("write WAL header: " +
-                              std::string(::strerror(errno)));
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
+  AppendLE<uint32_t>(&header, kWalMagic);
+  AppendLE<uint32_t>(&header, kWalVersion);
+  AppendLE<uint64_t>(&header, segment_first_lsn_);
+  AppendLE<uint32_t>(&header, Crc32c(header.data(), header.size()));
+  AppendLE<uint32_t>(&header, 0);  // padding
+  HOPS_RETURN_NOT_OK(WriteAll(fd_, header.data(), header.size(), path));
   // The segment must exist durably before anything in it is acknowledged
   // under kEvery/kBatch; the directory fsync covers the new entry.
   if (options_.fsync != WalFsync::kNone) {
@@ -183,23 +152,13 @@ Status WalWriter::CommitFrameLocked(size_t records) {
     return Status::InvalidArgument("WAL frame payload too large: " +
                                    std::to_string(payload_size));
   }
-  WritePod<uint32_t>(frame_scratch_.data(),
-                     static_cast<uint32_t>(payload_size));
-  WritePod<uint32_t>(
+  StoreLE<uint32_t>(frame_scratch_.data(),
+                    static_cast<uint32_t>(payload_size));
+  StoreLE<uint32_t>(
       frame_scratch_.data() + 4,
       Crc32c(frame_scratch_.data() + kFrameHeaderBytes, payload_size));
-  const char* data = frame_scratch_.data();
-  size_t size = frame_scratch_.size();
-  while (size > 0) {
-    const ssize_t n = ::write(fd_, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("write WAL frame: " +
-                              std::string(::strerror(errno)));
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
+  HOPS_RETURN_NOT_OK(WriteAll(fd_, frame_scratch_.data(),
+                              frame_scratch_.size(), segment_path_));
   segment_bytes_written_ += frame_scratch_.size();
   unsynced_bytes_ += frame_scratch_.size();
   unkicked_bytes_ += frame_scratch_.size();
@@ -268,15 +227,15 @@ Status WalWriter::AppendDeltas(std::span<UpdateRecord> records) {
   // string appends and a second payload copy both show up at WAL rates.
   frame_scratch_.resize(kFrameHeaderBytes + 16 + records.size() * 20);
   char* p = frame_scratch_.data() + kFrameHeaderBytes;
-  WritePod<uint32_t>(p, kFrameDeltaBatch);
-  WritePod<uint32_t>(p + 4, static_cast<uint32_t>(records.size()));
-  WritePod<uint64_t>(p + 8, first_lsn);
+  StoreLE<uint32_t>(p, kFrameDeltaBatch);
+  StoreLE<uint32_t>(p + 4, static_cast<uint32_t>(records.size()));
+  StoreLE<uint64_t>(p + 8, first_lsn);
   p += 16;
   for (size_t i = 0; i < records.size(); ++i, p += 20) {
     records[i].lsn = first_lsn + i;
-    WritePod<uint32_t>(p, records[i].column);
-    WritePod<int64_t>(p + 4, records[i].value);
-    WritePod<double>(p + 12, records[i].weight);
+    StoreLE<uint32_t>(p, records[i].column);
+    StoreLE<int64_t>(p + 4, records[i].value);
+    StoreLE<double>(p + 12, records[i].weight);
   }
   HOPS_RETURN_NOT_OK(CommitFrameLocked(records.size()));
   next_lsn_ = first_lsn + records.size();
@@ -297,16 +256,16 @@ Status WalWriter::AppendRegistration(RefreshColumnId id,
   const uint64_t lsn = next_lsn_;
   std::string payload;
   payload.reserve(32 + table.size() + column.size() + values.size() * 16);
-  AppendPod<uint32_t>(&payload, kFrameRegistration);
-  AppendPod<uint32_t>(&payload, id);
-  AppendPod<uint64_t>(&payload, lsn);
-  AppendPod<uint32_t>(&payload, static_cast<uint32_t>(table.size()));
-  AppendPod<uint32_t>(&payload, static_cast<uint32_t>(column.size()));
-  AppendPod<uint64_t>(&payload, values.size());
+  AppendLE<uint32_t>(&payload, kFrameRegistration);
+  AppendLE<uint32_t>(&payload, id);
+  AppendLE<uint64_t>(&payload, lsn);
+  AppendLE<uint32_t>(&payload, static_cast<uint32_t>(table.size()));
+  AppendLE<uint32_t>(&payload, static_cast<uint32_t>(column.size()));
+  AppendLE<uint64_t>(&payload, values.size());
   payload += table;
   payload += column;
-  for (int64_t value : values) AppendPod<int64_t>(&payload, value);
-  for (double freq : frequencies) AppendPod<double>(&payload, freq);
+  AppendLEArray(&payload, values);
+  AppendLEArray(&payload, frequencies);
   HOPS_RETURN_NOT_OK(AppendFrameLocked(payload, 1));
   next_lsn_ = lsn + 1;
   if (lsn_out != nullptr) *lsn_out = lsn;
@@ -380,12 +339,12 @@ Status ReplaySegment(const std::string& dir, const std::string& name,
   Result<std::string> file = ReadFileToString(path);
   HOPS_RETURN_NOT_OK(file.status());
   const std::string& bytes = *file;
-  std::string_view cursor = bytes;
+  ByteReader header(bytes);
   uint32_t magic, version, header_crc, padding;
   uint64_t first_lsn;
-  if (!ReadPod(&cursor, &magic) || !ReadPod(&cursor, &version) ||
-      !ReadPod(&cursor, &first_lsn) || !ReadPod(&cursor, &header_crc) ||
-      !ReadPod(&cursor, &padding)) {
+  if (!header.Read(&magic) || !header.Read(&version) ||
+      !header.Read(&first_lsn) || !header.Read(&header_crc) ||
+      !header.Read(&padding)) {
     return Status::Internal("WAL segment " + path + ": truncated header");
   }
   if (magic != kWalMagic || version != kWalVersion ||
@@ -399,11 +358,13 @@ Status ReplaySegment(const std::string& dir, const std::string& name,
     // tail if (and only if) this is the final segment.
     bool torn = false;
     uint32_t payload_len = 0, payload_crc = 0;
-    std::string_view frame = std::string_view(bytes).substr(offset);
-    if (!ReadPod(&frame, &payload_len) || !ReadPod(&frame, &payload_crc) ||
-        frame.size() < payload_len || payload_len > kMaxFramePayload) {
+    std::string_view payload_bytes;
+    ByteReader frame(std::string_view(bytes).substr(offset));
+    if (!frame.Read(&payload_len) || !frame.Read(&payload_crc) ||
+        payload_len > kMaxFramePayload ||
+        !frame.Take(payload_len, &payload_bytes)) {
       torn = true;
-    } else if (Crc32c(frame.data(), payload_len) != payload_crc) {
+    } else if (Crc32c(payload_bytes.data(), payload_len) != payload_crc) {
       torn = true;
     }
     if (torn) {
@@ -424,25 +385,27 @@ Status ReplaySegment(const std::string& dir, const std::string& name,
       return Status::OK();
     }
 
-    std::string_view payload = frame.substr(0, payload_len);
+    ByteReader payload(payload_bytes);
     uint32_t type = 0;
-    if (!ReadPod(&payload, &type)) {
+    if (!payload.Read(&type)) {
       return Status::Internal("WAL segment " + path + ": empty frame payload");
     }
     if (type == kFrameDeltaBatch) {
       uint32_t count = 0;
       WalDeltaBatch batch;
-      if (!ReadPod(&payload, &count) || !ReadPod(&payload, &batch.first_lsn) ||
-          payload.size() != static_cast<size_t>(count) * 20) {
+      if (!payload.Read(&count) || !payload.Read(&batch.first_lsn) ||
+          payload.remaining() != static_cast<size_t>(count) * 20) {
         return Status::Internal("WAL segment " + path +
                                 ": malformed delta batch");
       }
       batch.records.resize(count);
       for (uint32_t i = 0; i < count; ++i) {
         UpdateRecord& r = batch.records[i];
-        ReadPod(&payload, &r.column);
-        ReadPod(&payload, &r.value);
-        ReadPod(&payload, &r.weight);
+        if (!payload.Read(&r.column) || !payload.Read(&r.value) ||
+            !payload.Read(&r.weight)) {
+          return Status::Internal("WAL segment " + path +
+                                  ": malformed delta batch");
+        }
         r.lsn = batch.first_lsn + i;
       }
       report->delta_records += count;
@@ -455,23 +418,19 @@ Status ReplaySegment(const std::string& dir, const std::string& name,
       WalRegistration reg;
       uint32_t table_len = 0, column_len = 0;
       uint64_t count = 0;
-      if (!ReadPod(&payload, &reg.id) || !ReadPod(&payload, &reg.lsn) ||
-          !ReadPod(&payload, &table_len) || !ReadPod(&payload, &column_len) ||
-          !ReadPod(&payload, &count) ||
-          payload.size() != static_cast<size_t>(table_len) + column_len +
-                                count * 16) {
+      std::string_view table, column;
+      if (!payload.Read(&reg.id) || !payload.Read(&reg.lsn) ||
+          !payload.Read(&table_len) || !payload.Read(&column_len) ||
+          !payload.Read(&count) || !payload.Take(table_len, &table) ||
+          !payload.Take(column_len, &column) ||
+          !payload.ReadArray(count, &reg.values) ||
+          !payload.ReadArray(count, &reg.frequencies) ||
+          payload.remaining() != 0) {
         return Status::Internal("WAL segment " + path +
                                 ": malformed registration");
       }
-      reg.table.assign(payload.substr(0, table_len));
-      payload.remove_prefix(table_len);
-      reg.column.assign(payload.substr(0, column_len));
-      payload.remove_prefix(column_len);
-      reg.values.resize(count);
-      reg.frequencies.resize(count);
-      std::memcpy(reg.values.data(), payload.data(), count * 8);
-      payload.remove_prefix(count * 8);
-      std::memcpy(reg.frequencies.data(), payload.data(), count * 8);
+      reg.table.assign(table);
+      reg.column.assign(column);
       report->registrations += 1;
       report->max_lsn = std::max(report->max_lsn, reg.lsn);
       if (on_registration) HOPS_RETURN_NOT_OK(on_registration(reg));

@@ -150,6 +150,7 @@ class WalWriter {
 
   mutable std::mutex mutex_;
   int fd_ = -1;
+  std::string segment_path_;  ///< the active segment, named in write errors
   uint64_t next_lsn_ = 1;
   uint64_t segment_first_lsn_ = 1;
   size_t segment_bytes_written_ = 0;

@@ -86,45 +86,6 @@ TEST(CatalogTest, TotalEncodedBytesTracksStorage) {
   EXPECT_EQ(catalog.TotalEncodedBytes(), 2 * one);
 }
 
-TEST(CatalogTest, SerializeDeserializeRoundTrip) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.PutColumnStatistics("R", "a", SampleStats()).ok());
-  ColumnStatistics other = SampleStats();
-  other.num_tuples = 7;
-  other.min_value = -5;
-  ASSERT_TRUE(catalog.PutColumnStatistics("S", "b", other).ok());
-
-  std::string bytes = catalog.Serialize();
-  auto restored = Catalog::Deserialize(bytes);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->ListEntries(), catalog.ListEntries());
-  auto got = restored->GetColumnStatistics("S", "b");
-  ASSERT_TRUE(got.ok());
-  EXPECT_DOUBLE_EQ(got->num_tuples, 7.0);
-  EXPECT_EQ(got->min_value, -5);
-  EXPECT_DOUBLE_EQ(got->histogram.LookupFrequency(1), 30.0);
-}
-
-TEST(CatalogTest, SerializeEmptyCatalog) {
-  Catalog catalog;
-  auto restored = Catalog::Deserialize(catalog.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(restored->ListEntries().empty());
-}
-
-TEST(CatalogTest, DeserializeRejectsCorruptBytes) {
-  Catalog catalog;
-  ASSERT_TRUE(catalog.PutColumnStatistics("R", "a", SampleStats()).ok());
-  std::string bytes = catalog.Serialize();
-  EXPECT_FALSE(Catalog::Deserialize("").ok());
-  EXPECT_FALSE(
-      Catalog::Deserialize(bytes.substr(0, bytes.size() - 3)).ok());
-  std::string bad = bytes;
-  bad[0] = 'Z';
-  EXPECT_FALSE(Catalog::Deserialize(bad).ok());
-  EXPECT_FALSE(Catalog::Deserialize(bytes + "x").ok());
-}
-
 TEST(CatalogKeyTest, IntsMapToThemselvesStringsToHashes) {
   EXPECT_EQ(CatalogKeyFor(Value(int64_t{-42})), -42);
   EXPECT_EQ(CatalogKeyFor(Value("toy")), CatalogKeyFor(Value("toy")));

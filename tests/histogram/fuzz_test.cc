@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <unordered_map>
 
-#include "engine/catalog.h"
 #include "histogram/builders.h"
 #include "histogram/maintenance.h"
 #include "histogram/serialization.h"
+#include "histogram/tuning.h"
 #include "util/random.h"
 
 namespace hops {
@@ -74,27 +76,31 @@ TEST(FuzzTest, CorruptedBytesNeverCrashDecoder) {
   }
 }
 
+// Random histograms, about half of them carrying a tuned refinement tree
+// (the version-2 record), decode to an equal histogram that re-encodes to
+// the same bytes.
 TEST(FuzzTest, CatalogSerializeRoundTripsUnderRandomContents) {
   Rng rng(0xF024);
-  for (int trial = 0; trial < 30; ++trial) {
-    Catalog catalog;
-    size_t entries = 1 + rng.NextBounded(6);
-    for (size_t e = 0; e < entries; ++e) {
-      ColumnStatistics stats;
-      stats.num_tuples = static_cast<double>(rng.NextBounded(100000));
-      stats.num_distinct = rng.NextBounded(1000);
-      stats.min_value = rng.NextInt(-100, 0);
-      stats.max_value = rng.NextInt(1, 100);
-      stats.histogram = RandomCatalogHistogram(&rng);
-      ASSERT_TRUE(catalog
-                      .PutColumnStatistics("t" + std::to_string(e % 3),
-                                           "c" + std::to_string(e), stats)
-                      .ok());
+  for (int trial = 0; trial < 200; ++trial) {
+    CatalogHistogram hist = RandomCatalogHistogram(&rng);
+    if (rng.NextBounded(2) == 0) {
+      const int64_t lo = rng.NextInt(-1000, 1000);
+      auto tree = BucketRefinementTree::MakeUniform(
+          lo, lo + rng.NextInt(0, 5000), 1 + rng.NextBounded(64));
+      ASSERT_TRUE(tree.ok());
+      for (int scale = 0; scale < 3; ++scale) {
+        const int64_t from = rng.NextInt(lo, lo + 5000);
+        tree->ScaleRange(from, from + rng.NextInt(0, 500),
+                         rng.NextDouble(0.25, 4.0));
+      }
+      hist.SetRefinement(
+          std::make_shared<const BucketRefinementTree>(*std::move(tree)));
     }
-    auto restored = Catalog::Deserialize(catalog.Serialize());
-    ASSERT_TRUE(restored.ok()) << "trial " << trial;
-    EXPECT_EQ(restored->ListEntries(), catalog.ListEntries());
-    EXPECT_EQ(restored->TotalEncodedBytes(), catalog.TotalEncodedBytes());
+    const std::string bytes = hist.Encode();
+    auto decoded = CatalogHistogram::Decode(bytes);
+    ASSERT_TRUE(decoded.ok()) << "trial " << trial << ": " << decoded.status();
+    EXPECT_EQ(*decoded, hist) << "trial " << trial;
+    EXPECT_EQ(decoded->Encode(), bytes) << "trial " << trial;
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <string_view>
+
 #include "histogram/builders.h"
+#include "histogram/tuning.h"
 
 namespace hops {
 namespace {
@@ -53,6 +58,59 @@ TEST(CatalogHistogramTest, EncodeDecodeRoundTrip) {
   auto decoded = CatalogHistogram::Decode(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(*decoded, *h);
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+// The catalog form is stored and shipped as bytes, so its layout is pinned
+// field by field (all little-endian), not just round-tripped.
+TEST(CatalogHistogramTest, EncodingIsPinnedForUntunedHistogram) {
+  auto h = CatalogHistogram::Make({{42, 1.0}, {-3, 9.5}}, 0.25, 97);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(Hex(h->Encode()),
+            "53504f48"          // magic "HOPS"
+            "01000000"          // version 1: no refinement tree
+            "0200000000000000"  // explicit entry count
+            "fdffffffffffffff"  // value -3
+            "0000000000002340"  // frequency 9.5
+            "2a00000000000000"  // value 42
+            "000000000000f03f"  // frequency 1.0
+            "000000000000d03f"  // default frequency 0.25
+            "6100000000000000"  // default value count 97
+  );
+}
+
+TEST(CatalogHistogramTest, EncodingIsPinnedForRefinedHistogram) {
+  auto h = CatalogHistogram::Make({{42, 1.0}, {-3, 9.5}}, 0.25, 97);
+  ASSERT_TRUE(h.ok());
+  auto tree = BucketRefinementTree::FromWeights(-8, 23, {1.0, 3.0});
+  ASSERT_TRUE(tree.ok());
+  h->SetRefinement(
+      std::make_shared<const BucketRefinementTree>(*std::move(tree)));
+  EXPECT_EQ(Hex(h->Encode()),
+            "53504f48"          // magic "HOPS"
+            "02000000"          // version 2: refinement tree appended
+            "0200000000000000"  // explicit entry count
+            "fdffffffffffffff"  // value -3
+            "0000000000002340"  // frequency 9.5
+            "2a00000000000000"  // value 42
+            "000000000000f03f"  // frequency 1.0
+            "000000000000d03f"  // default frequency 0.25
+            "6100000000000000"  // default value count 97
+            "0200000000000000"  // leaf count
+            "f8ffffffffffffff"  // domain_lo -8
+            "1700000000000000"  // domain_hi 23
+            "000000000000d03f"  // leaf weight 0.25
+            "000000000000e83f"  // leaf weight 0.75
+  );
 }
 
 TEST(CatalogHistogramTest, DecodeRejectsCorruptInput) {

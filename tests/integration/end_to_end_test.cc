@@ -207,27 +207,6 @@ TEST(EndToEndTest, MaintainedStatisticsServeFreshEstimates) {
   EXPECT_TRUE(maintainer.NeedsRebuild());
 }
 
-TEST(EndToEndTest, CatalogSurvivesSerializationMidWorkload) {
-  // ANALYZE -> serialize -> "restart" -> estimates unchanged.
-  Relation rel = MakeWorksFor(37, 1200);
-  Catalog catalog;
-  StatisticsOptions options;
-  options.num_buckets = 4;
-  ASSERT_TRUE(AnalyzeAndStore(rel, "dname", &catalog, options).ok());
-  ASSERT_TRUE(AnalyzeAndStore(rel, "year", &catalog, options).ok());
-  auto before = catalog.GetColumnStatistics("WorksFor", "dname");
-  ASSERT_TRUE(before.ok());
-
-  auto restored = Catalog::Deserialize(catalog.Serialize());
-  ASSERT_TRUE(restored.ok());
-  auto after = restored->GetColumnStatistics("WorksFor", "dname");
-  ASSERT_TRUE(after.ok());
-  for (const char* dept : {"toy", "jewelry", "shoe", "candy"}) {
-    EXPECT_DOUBLE_EQ(EstimateEqualitySelection(*after, Value(dept)),
-                     EstimateEqualitySelection(*before, Value(dept)));
-  }
-}
-
 TEST(EndToEndTest, NbaWorkloadSelectionsFromCatalog) {
   auto ds = NbaDataset::Generate(1000, 23);
   ASSERT_TRUE(ds.ok());

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/io.h"
@@ -133,6 +134,134 @@ TEST(SnapshotEncode, EmptyStateRoundTrips) {
 TEST(SnapshotEncode, EncodingIsDeterministic) {
   const RefreshDurableState state = MakeState();
   EXPECT_EQ(EncodeSnapshot(3, state), EncodeSnapshot(3, state));
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+// The image's bytes are the on-disk contract: pin every field of a fixed
+// two-column state, checksums included (all integers little-endian).
+TEST(SnapshotEncode, EncodingIsPinned) {
+  EXPECT_EQ(Hex(EncodeSnapshot(7, MakeState())),
+            "48534e50"                // magic "HSNP"
+            "01000000"                // version 1
+            "0700000000000000"        // seq 7
+            "efcdab9078563412"        // high-water LSN
+            "07000000"                // 7 sections
+            "0d19a08d"                // header CRC32C
+            "01000000"                // section 1 (meta)
+            "00000000"                // reserved
+            "0001000000000000"        // offset
+            "0800000000000000"        // length
+            "c448501e"                // CRC32C
+            "00000000"                // padding
+            "02000000"                // section 2 (names)
+            "00000000"                // reserved
+            "0801000000000000"        // offset
+            "2e00000000000000"        // length
+            "12dc226b"                // CRC32C
+            "00000000"                // padding
+            "03000000"                // section 3 (columns)
+            "00000000"                // reserved
+            "3601000000000000"        // offset
+            "3801000000000000"        // length
+            "0e071e07"                // CRC32C
+            "00000000"                // padding
+            "04000000"                // section 4 (explicit values)
+            "00000000"                // reserved
+            "6e02000000000000"        // offset
+            "1800000000000000"        // length
+            "8b2921d8"                // CRC32C
+            "00000000"                // padding
+            "05000000"                // section 5 (explicit freqs)
+            "00000000"                // reserved
+            "8602000000000000"        // offset
+            "1800000000000000"        // length
+            "e1a7c4ec"                // CRC32C
+            "00000000"                // padding
+            "06000000"                // section 6 (ideal values)
+            "00000000"                // reserved
+            "9e02000000000000"        // offset
+            "2000000000000000"        // length
+            "4b9dad19"                // CRC32C
+            "00000000"                // padding
+            "07000000"                // section 7 (ideal counts)
+            "00000000"                // reserved
+            "be02000000000000"        // offset
+            "2000000000000000"        // length
+            "8308df57"                // CRC32C
+            "00000000"                // padding
+            "0200000000000000"        // meta: 2 columns
+            "06000000"                // table length
+            "0b000000"                // column length
+            "6f7264657273"            // "orders"
+            "637573746f6d65725f6964"  // "customer_id"
+            "06000000"                // table length
+            "07000000"                // column length
+            "6f7264657273"            // "orders"
+            "6974656d5f6964"          // "item_id"
+            "922449922449c23f"        // customer_id: default frequency 1/7
+            "5e00000000000000"        // default value count 94
+            "00000000004a9340"        // maintainer tuples 1234.5
+            "0000000000428f40"        // maintainer tuples at build 1000.25
+            "4d00000000000000"        // updates applied 77
+            "000000000000c0bf"        // drift -0.125
+            "2a00000000000000"        // hot value 42
+            "0000000000803140"        // hot count 17.5
+            "0000000000428f40"        // tuples at build 1000.25
+            "fbffffffffffffff"        // min value -5
+            "07ca9a3b00000000"        // max value 1000000007
+            "6100000000000000"        // distinct 97
+            "555555555555d53f"        // feedback EWMA 1/3
+            "0c00000000000000"        // deltas since rebuild 12
+            "0300000000000000"        // rebuilds 3
+            "03000000"                // flags: hot value valid | has feedback
+            "0000000000000000"        // explicit offset
+            "0300000000000000"        // explicit count
+            "0000000000000000"        // ideal offset
+            "0400000000000000"        // ideal count
+            "0000000000001140"        // item_id: default frequency 4.25
+            "0a00000000000000"        // default value count 10
+            "0000000000004540"        // maintainer tuples 42.0
+            "0000000000004540"        // maintainer tuples at build 42.0
+            "0000000000000000"        // updates applied 0
+            "0000000000000000"        // drift 0.0
+            "0000000000000000"        // hot value 0
+            "0000000000000000"        // hot count 0.0
+            "0000000000004540"        // tuples at build 42.0
+            "0000000000000000"        // min value 0
+            "0900000000000000"        // max value 9
+            "0a00000000000000"        // distinct 10
+            "0000000000000000"        // feedback EWMA 0.0
+            "0000000000000000"        // deltas since rebuild 0
+            "0000000000000000"        // rebuilds 0
+            "00000000"                // flags
+            "0300000000000000"        // explicit offset
+            "0000000000000000"        // explicit count
+            "0400000000000000"        // ideal offset
+            "0000000000000000"        // ideal count
+            "fbffffffffffffff"        // explicit values: -5
+            "0300000000000000"        // 3
+            "07ca9a3b00000000"        // 1000000007
+            "9a9999999999b93f"        // explicit freqs: 0.1
+            "555555555555e53f"        // 2/3
+            "c976be9f0c24fe40"        // 123456.789
+            "fbffffffffffffff"        // ideal values: -5
+            "0000000000000000"        // 0
+            "0300000000000000"        // 3
+            "0900000000000000"        // 9
+            "000000000000f83f"        // ideal counts: 1.5
+            "0000000000000000"        // 0.0
+            "555555555555e53f"        // 2/3
+            "0000000000002040"        // 8.0
+  );
 }
 
 TEST(SnapshotFile, WriteReadAndInfo) {

@@ -11,7 +11,9 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hops::storage {
@@ -113,6 +115,68 @@ TEST(WalWriterTest, StampsLsnsAndReplaysInOrder) {
   EXPECT_EQ(batch.records[1].value, -1);
   EXPECT_EQ(batch.records[1].weight, -0.5);
   EXPECT_EQ(batch.records[1].lsn, 3u);
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+// A segment's bytes are what replay reads after a crash: pin the header and
+// one frame of each type (all integers little-endian).
+TEST(WalWriterTest, SegmentBytesArePinned) {
+  const std::string dir = MakeTempDir("walbytes");
+  {
+    auto writer = WalWriter::Open(dir, /*next_lsn=*/1);
+    ASSERT_TRUE(writer.ok()) << writer.status().message();
+    const std::vector<int64_t> values = {1, -2};
+    const std::vector<double> freqs = {4.0, 0.5};
+    ASSERT_TRUE((*writer)
+                    ->AppendRegistration(3, "t", "c", values, freqs, nullptr)
+                    .ok());
+    std::vector<UpdateRecord> deltas = MakeDeltas(2, 3);
+    ASSERT_TRUE((*writer)->AppendDeltas(deltas).ok());
+  }
+  std::ifstream in(dir + "/" + WalSegmentFileName(1), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(Hex(bytes),
+            "4857414c"          // magic "HWAL"
+            "01000000"          // version 1
+            "0100000000000000"  // first LSN 1
+            "6dd4547e"          // header CRC32C
+            "00000000"          // padding
+            "42000000"          // frame payload length 66
+            "cd6c9724"          // payload CRC32C
+            "02000000"          // type 2: registration
+            "03000000"          // column id 3
+            "0100000000000000"  // LSN 1
+            "01000000"          // table length
+            "01000000"          // column length
+            "0200000000000000"  // value count
+            "74"                // "t"
+            "63"                // "c"
+            "0100000000000000"  // value 1
+            "feffffffffffffff"  // value -2
+            "0000000000001040"  // frequency 4.0
+            "000000000000e03f"  // frequency 0.5
+            "38000000"          // frame payload length 56
+            "ac46f7f0"          // payload CRC32C
+            "01000000"          // type 1: delta batch
+            "02000000"          // record count
+            "0200000000000000"  // first LSN 2
+            "03000000"          // column id 3
+            "feffffffffffffff"  // value -2
+            "000000000000f03f"  // weight +1.0
+            "03000000"          // column id 3
+            "ffffffffffffffff"  // value -1
+            "000000000000e0bf"  // weight -0.5
+  );
 }
 
 TEST(WalWriterTest, RotateCutsSegmentsAndMinLsnSkipsCoveredOnes) {
