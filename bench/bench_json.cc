@@ -6,6 +6,11 @@
 // the parallel results are bit-identical to the serial baseline, and writes
 // BENCH_histograms.json so the perf trajectory is tracked across PRs.
 //
+// The headline cell (M = 100000, beta = 100) is timed kHeadlineReps times,
+// alternating serial-first and parallel-first, and its 2x gate reads the
+// 25th percentile of the per-rep speedups, so a noise band that straddles
+// 2x fails the gate instead of passing on a lucky run.
+//
 // Usage: bench_json [output.json] [--quick]
 //   --quick restricts the sweep (CI smoke). Exit code is non-zero when any
 //   parallel result deviates from its serial counterpart.
@@ -75,18 +80,38 @@ struct ComboResult {
   size_t beta = 0;
   size_t num_requests = 0;
   std::vector<HistogramBuilderKind> kinds;
-  double serial_seconds = 0;
-  double parallel_seconds = 0;
-  double speedup = 0;
+  double serial_seconds = 0;    // median over reps
+  double parallel_seconds = 0;  // median over reps
+  double speedup = 0;           // median over reps
+  std::vector<double> speedups;  // one per rep, ascending
   uint64_t evaluations = 0;
   bool identical = true;
 };
 
 constexpr size_t kReplicas = 4;  // distinct Zipf "columns" per builder kind
+constexpr size_t kHeadlineM = 100000;
+constexpr size_t kHeadlineBeta = 100;
+constexpr size_t kHeadlineReps = 5;
 
-/// One (m, beta) cell: build the request batch twice (same inputs), run the
-/// serial baseline and the parallel pipeline, compare fingerprints.
-ComboResult RunCombo(size_t m, size_t beta) {
+/// Linear-interpolated quantile \p q of an ascending, non-empty sample.
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return Quantile(values, 0.5);
+}
+
+/// One (m, beta) cell: \p reps times, build the request batch twice (same
+/// inputs), run the serial baseline and the parallel pipeline — serial
+/// first on even reps, parallel first on odd ones — and compare
+/// fingerprints.
+ComboResult RunCombo(size_t m, size_t beta, size_t reps) {
   ComboResult r;
   r.m = m;
   r.beta = beta;
@@ -125,27 +150,48 @@ ComboResult RunCombo(size_t m, size_t beta) {
 
   ParallelBuildOptions serial_opts;
   serial_opts.serial = true;
-  Stopwatch sw_serial;
-  std::vector<Result<Histogram>> serial_results =
-      BuildHistogramBatch(make_requests(nullptr), serial_opts);
-  r.serial_seconds = sw_serial.ElapsedSeconds();
-
-  std::vector<VOptDiagnostics> diags(r.num_requests);
-  Stopwatch sw_parallel;
-  std::vector<Result<Histogram>> parallel_results =
-      BuildHistogramBatch(make_requests(&diags), {});
-  r.parallel_seconds = sw_parallel.ElapsedSeconds();
-  r.speedup =
-      r.parallel_seconds > 0 ? r.serial_seconds / r.parallel_seconds : 0;
-
-  for (const VOptDiagnostics& d : diags) r.evaluations += d.candidates_examined;
-  for (size_t i = 0; i < serial_results.size(); ++i) {
-    serial_results[i].status().Check();
-    parallel_results[i].status().Check();
-    if (Fingerprint(*serial_results[i]) != Fingerprint(*parallel_results[i])) {
-      r.identical = false;
+  std::vector<double> serial_seconds, parallel_seconds;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    std::vector<Result<Histogram>> serial_results, parallel_results;
+    std::vector<VOptDiagnostics> diags(r.num_requests);
+    auto run_serial = [&] {
+      Stopwatch sw;
+      serial_results =
+          BuildHistogramBatch(make_requests(nullptr), serial_opts);
+      serial_seconds.push_back(sw.ElapsedSeconds());
+    };
+    auto run_parallel = [&] {
+      Stopwatch sw;
+      parallel_results = BuildHistogramBatch(make_requests(&diags), {});
+      parallel_seconds.push_back(sw.ElapsedSeconds());
+    };
+    if (rep % 2 == 0) {
+      run_serial();
+      run_parallel();
+    } else {
+      run_parallel();
+      run_serial();
+    }
+    r.speedups.push_back(parallel_seconds.back() > 0
+                             ? serial_seconds.back() / parallel_seconds.back()
+                             : 0);
+    r.evaluations = 0;
+    for (const VOptDiagnostics& d : diags) {
+      r.evaluations += d.candidates_examined;
+    }
+    for (size_t i = 0; i < serial_results.size(); ++i) {
+      serial_results[i].status().Check();
+      parallel_results[i].status().Check();
+      if (Fingerprint(*serial_results[i]) !=
+          Fingerprint(*parallel_results[i])) {
+        r.identical = false;
+      }
     }
   }
+  std::sort(r.speedups.begin(), r.speedups.end());
+  r.serial_seconds = Median(serial_seconds);
+  r.parallel_seconds = Median(parallel_seconds);
+  r.speedup = Quantile(r.speedups, 0.5);
   return r;
 }
 
@@ -219,24 +265,32 @@ int Run(int argc, char** argv) {
   bool have_headline = false;
   for (size_t m : ms) {
     for (size_t beta : betas) {
-      ComboResult r = RunCombo(m, beta);
+      const bool is_headline = m == kHeadlineM && beta == kHeadlineBeta;
+      ComboResult r = RunCombo(m, beta, is_headline ? kHeadlineReps : 1);
       WriteCombo(&w, r);
       all_identical = all_identical && r.identical;
-      if (m == 100000 && beta == 100) {
+      if (is_headline) {
         headline = r;
         have_headline = true;
       }
       std::cout << "  M=" << m << " beta=" << beta << ": serial "
                 << r.serial_seconds << "s, parallel " << r.parallel_seconds
-                << "s, speedup " << r.speedup << "x, identical "
-                << (r.identical ? "yes" : "NO") << "\n";
+                << "s, speedup " << r.speedup << "x";
+      if (r.speedups.size() > 1) {
+        std::cout << " (median of " << r.speedups.size() << ", p25 "
+                  << Quantile(r.speedups, 0.25) << "x, p75 "
+                  << Quantile(r.speedups, 0.75) << "x)";
+      }
+      std::cout << ", identical " << (r.identical ? "yes" : "NO") << "\n";
     }
   }
   w.EndArray();
 
   // The acceptance headline: batched construction at M=100k, beta=100 over
-  // every feasible builder must be >= 2x faster than serial (with >= 4
-  // hardware threads) and byte-identical.
+  // every feasible builder must be >= 2x faster than serial and
+  // byte-identical. The gate takes the 25th percentile of the per-rep
+  // speedups, so it fails when the noise band reaches below 2x; with fewer
+  // than 4 pool threads the target is not measured (null).
   w.Key("headline");
   if (have_headline) {
     w.BeginObject();
@@ -244,12 +298,22 @@ int Run(int argc, char** argv) {
     w.UInt(headline.m);
     w.Key("beta");
     w.UInt(headline.beta);
-    w.Key("speedup");
+    w.Key("n");
+    w.UInt(headline.speedups.size());
+    w.Key("speedup_median");
     w.Double(headline.speedup);
+    w.Key("speedup_p25");
+    w.Double(Quantile(headline.speedups, 0.25));
+    w.Key("speedup_p75");
+    w.Double(Quantile(headline.speedups, 0.75));
     w.Key("identical");
     w.Bool(headline.identical);
     w.Key("meets_2x_target");
-    w.Bool(threads < 4 || headline.speedup >= 2.0);
+    if (threads < 4) {
+      w.Null();
+    } else {
+      w.Bool(Quantile(headline.speedups, 0.25) >= 2.0);
+    }
     w.EndObject();
   } else {
     w.Null();

@@ -6,7 +6,10 @@
 #      over the concurrency suites, whose list lives in check.sh only.
 #   2. Build optimized and run bench/bench_json, which times serial vs
 #      parallel batched construction, verifies the parallel results are
-#      bit-identical to serial, and writes BENCH_histograms.json.
+#      bit-identical to serial, and writes BENCH_histograms.json. The
+#      headline cell (M = 100000, beta = 100) is timed 5 times; its 2x
+#      gate holds only when the 25th-percentile speedup is >= 2, and reads
+#      "not measured" below 4 pool threads.
 #   3. Run bench/bench_estimation, which times the legacy decode-per-query
 #      estimators against the compiled snapshot serving path and the §12
 #      batched fast lane (Eytzinger multi-probe kernel + per-snapshot
@@ -67,12 +70,21 @@ assert doc["bench"] == "histogram_construction", doc.get("bench")
 assert isinstance(doc["runs"], list) and doc["runs"], "empty runs"
 assert all(r["identical"] for r in doc["runs"]), "non-identical run"
 head = doc["headline"]
-print(f"headline: M={head['m']} beta={head['beta']} "
-      f"speedup={head['speedup']:.2f}x identical={head['identical']} "
-      f"meets_2x_target={head['meets_2x_target']} "
+gate = head["meets_2x_target"]
+print(f"headline: M={head['m']} beta={head['beta']} speedup median "
+      f"{head['speedup_median']:.2f}x, band p25-p75 "
+      f"{head['speedup_p25']:.2f}-{head['speedup_p75']:.2f}x over "
+      f"n={head['n']} runs, identical={head['identical']}, "
+      f"meets_2x_target="
+      f"{'not measured' if gate is None else gate} "
       f"(threads={doc['threads']})")
 assert head["identical"]
-assert head["meets_2x_target"]
+assert head["n"] >= 5, head["n"]
+assert head["speedup_p25"] <= head["speedup_median"] <= head["speedup_p75"]
+if gate is not None:
+    assert gate == (head["speedup_p25"] >= 2.0)
+    assert gate, (f"2x target missed: p25 speedup "
+                  f"{head['speedup_p25']:.2f}x < 2.0")
 EOF
 
 echo "== Optimized bench: legacy estimators vs compiled snapshot serving =="

@@ -10,7 +10,9 @@
 // - V-OptHistDP (extension, see DESIGN.md): dynamic program over prefixes of
 //   the sorted set; provably the same optimum in O(M^2 * beta).
 // - V-OptBiasHist (Section 4.2): near-linear selection-based search for the
-//   v-optimal *end-biased* histogram, O(M + (beta-1) log M).
+//   v-optimal *end-biased* histogram, O(M + (beta-1) log M). The
+//   explicit-split end-biased builder and the grouped variant still sort
+//   all M entries, O(M log M).
 
 #pragma once
 
@@ -68,6 +70,7 @@ Result<Histogram> BuildEquiDepthHistogram(FrequencySet set,
 /// lowest frequencies in singleton univalued buckets; the remaining values
 /// share one multivalued bucket. Requires num_high + num_low <= M, with the
 /// multivalued bucket allowed to be absent when num_high + num_low == M.
+/// Sorts all M entries by (frequency, index): O(M log M).
 Result<Histogram> BuildEndBiasedHistogram(FrequencySet set, size_t num_high,
                                           size_t num_low);
 
@@ -112,9 +115,13 @@ struct EndBiasedChoice {
 };
 
 /// \brief Algorithm V-OptBiasHist: the v-optimal end-biased histogram
-/// (Theorem 4.2), via heap-style partial selection of the beta-1 extreme
-/// frequencies. Univalued buckets are singletons — one stored value each,
-/// the DB2-style practice the paper's storage discussion assumes.
+/// (Theorem 4.2) in O(M + (beta-1) log M): std::nth_element selects the
+/// beta-1 lowest and beta-1 highest entries in (frequency, index) order
+/// and only those are sorted (the paper selects with a heap). Univalued
+/// buckets are singletons — one stored value each, the DB2-style practice
+/// the paper's storage discussion assumes. The result, bucket ids
+/// included, equals BuildEndBiasedHistogram for the chosen split, apart
+/// from the "v-opt-end-biased" label.
 Result<Histogram> BuildVOptEndBiased(FrequencySet set, size_t num_buckets,
                                      EndBiasedChoice* choice = nullptr);
 

@@ -3,10 +3,12 @@
 // Since univalued buckets have zero variance, the best end-biased histogram
 // with beta buckets is the (h highest, l lowest) split with h + l = beta - 1
 // whose *multivalued* bucket has the least P*V (Proposition 3.1). Only the
-// beta-1 largest and beta-1 smallest frequencies can ever be selected, so a
-// partial selection (the paper uses a heap) suffices: O(M + (beta-1) log M).
+// beta-1 largest and beta-1 smallest frequencies can ever be selected, so
+// selecting those two ends (std::nth_element, O(M)) and sorting only them
+// suffices: O(M + (beta-1) log M), the bound of Theorem 4.2.
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
 
 #include "histogram/builders.h"
@@ -36,28 +38,38 @@ Result<Histogram> BuildVOptEndBiased(FrequencySet set, size_t num_buckets,
     return BuildTrivialHistogram(std::move(set));
   }
 
-  // Partial selection of the u smallest and u largest entries, each sorted,
-  // with deterministic (frequency, index) tie-breaking.
+  // Bring the u smallest entries to the front of `order` and the u largest
+  // to its back, each end sorted, in the strict (frequency, index) order
+  // BuildEndBiasedHistogram sorts by — so both ends, and with them every
+  // bucket id below, are exactly those of the full sort. When the ends
+  // overlap (2u >= M) one full sort is cheaper than two selections.
   auto less = [&](size_t a, size_t b) {
     if (set[a] != set[b]) return set[a] < set[b];
     return a < b;
   };
-  std::vector<size_t> idx(m);
-  std::iota(idx.begin(), idx.end(), size_t{0});
-  const size_t take = std::min(u, m);
-  std::vector<size_t> lowest(take), highest(take);
-  std::partial_sort_copy(idx.begin(), idx.end(), lowest.begin(), lowest.end(),
-                         less);
-  std::partial_sort_copy(idx.begin(), idx.end(), highest.begin(),
-                         highest.end(),
-                         [&](size_t a, size_t b) { return less(b, a); });
+  std::vector<size_t> order(m);
+  std::iota(order.begin(), order.end(), size_t{0});
+  const auto low_end = order.begin() + static_cast<std::ptrdiff_t>(u);
+  const auto high_begin = order.end() - static_cast<std::ptrdiff_t>(u);
+  if (2 * u >= m) {
+    std::sort(order.begin(), order.end(), less);
+  } else {
+    std::nth_element(order.begin(), low_end, order.end(), less);
+    std::nth_element(low_end, high_begin, order.end(), less);
+    std::sort(order.begin(), low_end, less);
+    std::sort(high_begin, order.end(), less);
+  }
+  // The i-th lowest entry is order[i]; the j-th highest is order[m-1-j].
+  auto lowest = [&](size_t i) { return order[i]; };
+  auto highest = [&](size_t j) { return order[m - 1 - j]; };
 
-  // Prefix sums over the selected extremes.
-  auto prefixes = [&](const std::vector<size_t>& items) {
-    std::vector<double> s(items.size() + 1, 0.0), ss(items.size() + 1, 0.0);
+  // Prefix sums over the selected extremes, lowest ascending and highest
+  // descending.
+  auto prefixes = [&](auto item) {
+    std::vector<double> s(u + 1, 0.0), ss(u + 1, 0.0);
     KahanSum as, ass;
-    for (size_t i = 0; i < items.size(); ++i) {
-      double f = set[items[i]];
+    for (size_t i = 0; i < u; ++i) {
+      double f = set[item(i)];
       as.Add(f);
       ass.Add(f * f);
       s[i + 1] = as.Value();
@@ -74,33 +86,23 @@ Result<Histogram> BuildVOptEndBiased(FrequencySet set, size_t num_buckets,
     total_ss.Add(set[i] * set[i]);
   }
 
-  // Evaluate every (h highest, l lowest) split with h + l = u. The selected
-  // index sets must be disjoint, which holds because h + l = u <= m - 1
-  // (singleton positions come from opposite ends of the sorted order); with
-  // duplicated frequencies partial_sort_copy's deterministic tie-breaking
-  // on index keeps the two selections disjoint as long as h + l <= m.
-  // Iterate h from high to low so that ties favor storing the *highest*
-  // frequencies explicitly (what DB2-style catalogs do, and what the
-  // sampling-based construction of Section 4.2 can actually find).
+  // Evaluate every (h highest, l lowest) split with h + l = u. Because
+  // u <= m - 1, the l lowest and h highest positions never cross, and the
+  // multivalued bucket keeps m - u >= 1 entries. Iterate h from high to low
+  // so that ties favor storing the *highest* frequencies explicitly (what
+  // DB2-style catalogs do, and what the sampling-based construction of
+  // Section 4.2 can actually find).
+  const double mid_count = static_cast<double>(m - u);
   double best_error = 0.0;
   size_t best_h = 0;
   bool first = true;
   for (size_t h = u + 1; h-- > 0;) {
     const size_t l = u - h;
-    // Check disjointness under ties: the h-th highest and l-th lowest
-    // positions must not cross.
-    if (h + l >= m + 1) continue;
-    double mid_count = static_cast<double>(m - h - l);
     double mid_sum = total_s.Value() - high_sum[h] - low_sum[l];
     double mid_sum_sq =
         total_ss.Value() - high_sum_sq[h] - low_sum_sq[l];
-    double err;
-    if (mid_count == 0) {
-      err = 0.0;
-    } else {
-      err = mid_sum_sq - mid_sum * mid_sum / mid_count;
-      if (err < 0) err = 0.0;
-    }
+    double err = mid_sum_sq - mid_sum * mid_sum / mid_count;
+    if (err < 0) err = 0.0;
     if (first || err < best_error) {
       first = false;
       best_error = err;
@@ -114,12 +116,20 @@ Result<Histogram> BuildVOptEndBiased(FrequencySet set, size_t num_buckets,
     choice->num_low = best_l;
     choice->error = best_error;
   }
-  HOPS_ASSIGN_OR_RETURN(Histogram hist,
-                        BuildEndBiasedHistogram(std::move(set), best_h,
-                                                best_l));
-  // Re-label: this is the v-optimal member of the class.
-  return Histogram::Make(hist.source(), hist.bucketization(),
-                         "v-opt-end-biased");
+  // Bucket ids as BuildEndBiasedHistogram numbers them along the sorted
+  // order: the l lowest get 0..l-1, the multivalued bucket l, and the h
+  // highest l+1..u ascending (so the j-th highest gets u - j).
+  std::vector<uint32_t> bucket_of(m, static_cast<uint32_t>(best_l));
+  for (size_t i = 0; i < best_l; ++i) {
+    bucket_of[lowest(i)] = static_cast<uint32_t>(i);
+  }
+  for (size_t j = 0; j < best_h; ++j) {
+    bucket_of[highest(j)] = static_cast<uint32_t>(u - j);
+  }
+  HOPS_ASSIGN_OR_RETURN(
+      Bucketization bz,
+      Bucketization::FromAssignments(std::move(bucket_of), num_buckets));
+  return Histogram::Make(std::move(set), std::move(bz), "v-opt-end-biased");
 }
 
 }  // namespace hops

@@ -18,9 +18,10 @@ namespace hops {
 // `moments` is kept incrementally coherent with (ideal, the maintained
 // histogram's explicit set); it is recomputed from scratch whenever the
 // explicit set changes (i.e., on rebuild). `unchanged_since_build` is set
-// by registration and every rebuild and cleared by any applied delta or
-// tuning change; while it holds, a rebuild would reproduce the catalog
-// histogram exactly, so scoring never asks for one.
+// by registration, every rebuild and a rebuild pick with no positive count
+// left, and cleared by any applied delta or tuning change; while it holds,
+// a rebuild would reproduce the catalog histogram exactly (or have nothing
+// to build from), so scoring never asks for one.
 struct RefreshManager::ColumnState {
   std::string table;
   std::string column;
@@ -472,34 +473,37 @@ Result<StalenessScore> RefreshManager::ScoreColumn(RefreshColumnId id) const {
   return ScoreLocked(*columns_[id]);
 }
 
-Status RefreshManager::RebuildColumnsLocked(
-    std::vector<std::pair<RefreshColumnId, RebuildReason>> picks,
-    bool* installed_out) {
-  if (picks.empty()) return Status::OK();
+Result<size_t> RefreshManager::RebuildColumnsLocked(
+    std::vector<std::pair<RefreshColumnId, RebuildReason>> picks) {
+  if (picks.empty()) return size_t{0};
   static telemetry::SpanSite& rebuild_site =
       telemetry::GetSpanSite("Refresh.Rebuild");
   telemetry::TraceSpan span(rebuild_site);
   Stopwatch stopwatch;
 
   // Assemble one batched construction problem per column and fan it across
-  // the pool (§6 pipeline). Value order is sorted, so request i's set entry
-  // j corresponds to ids[i][j] deterministically.
+  // the pool (§6 pipeline). Each pick keeps its sorted positive (value,
+  // frequency) pairs: request i's set entry j is pairs[i][j], and the same
+  // pairs give the installed column's total and Prop 3.1 moments.
   std::vector<HistogramBuildRequest> requests;
-  std::vector<std::vector<int64_t>> ids_per_pick(picks.size());
+  std::vector<std::vector<std::pair<int64_t, double>>> pairs_per_pick(
+      picks.size());
   std::vector<size_t> request_of_pick(picks.size(), SIZE_MAX);
   requests.reserve(picks.size());
   for (size_t p = 0; p < picks.size(); ++p) {
     ColumnState& state = *columns_[picks[p].first];
-    std::vector<std::pair<int64_t, double>> pairs =
-        SortedPositiveIdeal(state.ideal);
-    if (pairs.empty()) continue;  // nothing to build from; leave as-is
+    pairs_per_pick[p] = SortedPositiveIdeal(state.ideal);
+    const std::vector<std::pair<int64_t, double>>& pairs = pairs_per_pick[p];
+    if (pairs.empty()) {
+      // Every count was deleted: there is nothing to build from until a
+      // delta arrives (which clears the flag), so leave the column as it
+      // is and stop it from taking a rebuild slot on every tick.
+      state.unchanged_since_build = true;
+      continue;
+    }
     std::vector<double> freqs;
     freqs.reserve(pairs.size());
-    ids_per_pick[p].reserve(pairs.size());
-    for (const auto& [value, freq] : pairs) {
-      ids_per_pick[p].push_back(value);
-      freqs.push_back(freq);
-    }
+    for (const auto& [value, freq] : pairs) freqs.push_back(freq);
     HOPS_ASSIGN_OR_RETURN(FrequencySet set,
                           FrequencySet::Make(std::move(freqs)));
     HistogramBuildRequest request;
@@ -517,24 +521,29 @@ Status RefreshManager::RebuildColumnsLocked(
   std::vector<Result<Histogram>> built =
       BuildHistogramBatch(std::move(requests), build_options);
 
-  bool installed = false;
+  size_t installed = 0;
   for (size_t p = 0; p < picks.size(); ++p) {
     if (request_of_pick[p] == SIZE_MAX) continue;
     HOPS_RETURN_NOT_OK(built[request_of_pick[p]].status());
     ColumnState& state = *columns_[picks[p].first];
-    const std::vector<int64_t>& ids = ids_per_pick[p];
+    const std::vector<std::pair<int64_t, double>>& pairs = pairs_per_pick[p];
+    std::vector<int64_t> ids;
+    ids.reserve(pairs.size());
+    double total = 0;
+    for (const auto& [value, freq] : pairs) {
+      ids.push_back(value);
+      total += freq;
+    }
     HOPS_ASSIGN_OR_RETURN(
         CatalogHistogram compact,
         CatalogHistogram::FromHistogram(*built[request_of_pick[p]], ids,
                                         options_.statistics.average_mode));
-    double total = 0;
-    for (int64_t value : ids) total += state.ideal[value];
     state.maintainer.Rebuilt(std::move(compact), total);
     state.tuples_at_build = total;
-    state.min_value = ids.front();
-    state.max_value = ids.back();
-    state.distinct = ids.size();
-    RecomputeMomentsLocked(state);
+    state.min_value = pairs.front().first;
+    state.max_value = pairs.back().first;
+    state.distinct = pairs.size();
+    state.moments = ComputeIdealMoments(state.maintainer.current(), pairs);
     // Feedback referred to the replaced statistics; start fresh. Buffered
     // tuning observations likewise described the old bucketization.
     state.feedback_ewma = 0;
@@ -552,13 +561,10 @@ Status RefreshManager::RebuildColumnsLocked(
       case RebuildReason::kNone: rebuilds_drift_.Increment(); break;
     }
     HOPS_RETURN_NOT_OK(WriteBackLocked(state));
-    installed = true;
+    ++installed;
   }
-  if (installed) {
-    last_refresh_seconds_ = stopwatch.ElapsedSeconds();
-    if (installed_out != nullptr) *installed_out = true;
-  }
-  return Status::OK();
+  if (installed > 0) last_refresh_seconds_ = stopwatch.ElapsedSeconds();
+  return installed;
 }
 
 void RefreshManager::RecomputeMomentsLocked(ColumnState& state) {
@@ -589,9 +595,10 @@ Result<size_t> RefreshManager::RebuildIfStaleLocked(bool* changed) {
   std::vector<std::pair<RefreshColumnId, RebuildReason>> picks;
   picks.reserve(candidates.size());
   for (const auto& c : candidates) picks.push_back(c.second);
-  const size_t n = picks.size();
-  HOPS_RETURN_NOT_OK(RebuildColumnsLocked(std::move(picks), changed));
-  return n;
+  HOPS_ASSIGN_OR_RETURN(const size_t installed,
+                        RebuildColumnsLocked(std::move(picks)));
+  if (installed > 0) *changed = true;
+  return installed;
 }
 
 Result<size_t> RefreshManager::RebuildIfStale() {
@@ -613,9 +620,9 @@ Status RefreshManager::ForceRebuild(std::span<const RefreshColumnId> ids) {
     }
     picks.push_back({id, RebuildReason::kForced});
   }
-  bool installed = false;
-  HOPS_RETURN_NOT_OK(RebuildColumnsLocked(std::move(picks), &installed));
-  if (installed) HOPS_RETURN_NOT_OK(RepublishLocked());
+  HOPS_ASSIGN_OR_RETURN(const size_t installed,
+                        RebuildColumnsLocked(std::move(picks)));
+  if (installed > 0) HOPS_RETURN_NOT_OK(RepublishLocked());
   return Status::OK();
 }
 

@@ -271,13 +271,14 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   /// Drain + apply + catalog write-back; no publication. Sets \p *changed
   /// when any column's statistics were written back.
   Result<size_t> ApplyPendingDeltasLocked(bool* changed);
-  /// Score + pick + rebuild; no publication. Sets \p *changed on install.
+  /// Score + pick + rebuild; no publication. Returns the number of
+  /// rebuilds installed and sets \p *changed when it is positive.
   Result<size_t> RebuildIfStaleLocked(bool* changed);
   /// Batched rebuild + write-back; no publication (callers coalesce the
-  /// publish). Sets \p *installed when at least one column was rebuilt.
-  Status RebuildColumnsLocked(
-      std::vector<std::pair<RefreshColumnId, RebuildReason>> picks,
-      bool* installed);
+  /// publish). Returns the number of columns rebuilt: a pick with no
+  /// positive count is left as it is and not counted.
+  Result<size_t> RebuildColumnsLocked(
+      std::vector<std::pair<RefreshColumnId, RebuildReason>> picks);
   Status WriteBackLocked(ColumnState& state);
   /// Drains buffered predicate outcomes into in-place histogram
   /// adjustments (refresh/self_tuner.h) and decays every column's tuning

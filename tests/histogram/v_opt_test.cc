@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+
 #include "histogram/builders.h"
 #include "histogram/self_join.h"
+#include "histogram/serialization.h"
 #include "stats/zipf.h"
 #include "util/random.h"
 
@@ -314,6 +318,75 @@ TEST(VOptEndBiasedTest, LabelsReflectConstruction) {
   auto h = BuildVOptEndBiased(MustSet({5, 1, 9}), 2);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->label(), "v-opt-end-biased");
+}
+
+// A random integer frequency set of size m: few distinct counts (heavy
+// ties, zeros included), Zipf-like counts (distinct heads, tied tails), or
+// a tie-free shuffled sequence.
+std::vector<Frequency> RandomEndBiasedInput(Rng* rng, size_t m, int kind) {
+  std::vector<Frequency> freqs(m);
+  if (kind == 0) {
+    const uint64_t distinct = 1 + rng->NextBounded(6);
+    for (auto& f : freqs) f = static_cast<double>(rng->NextBounded(distinct));
+  } else if (kind == 1) {
+    for (size_t i = 0; i < m; ++i) {
+      freqs[i] = std::floor(1000.0 / static_cast<double>(i + 1));
+    }
+    rng->Shuffle(&freqs);
+  } else {
+    for (size_t i = 0; i < m; ++i) {
+      freqs[i] = static_cast<double>(3 * i + rng->NextBounded(3));
+    }
+    rng->Shuffle(&freqs);
+  }
+  return freqs;
+}
+
+TEST(VOptEndBiasedTest, IdenticalToTheExplicitSplitBuilder) {
+  // The selection-based builder must produce exactly what the explicit
+  // (num_high, num_low) builder produces for the split it chose: the same
+  // bucket ids, the same BucketStats bits, and the same catalog bytes. The
+  // beta sweep runs both the partial-selection and the full-sort paths.
+  auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  Rng rng(19);
+  for (int trial = 0; trial < 150; ++trial) {
+    const size_t m = 1 + rng.NextBounded(300);
+    const std::vector<Frequency> freqs =
+        RandomEndBiasedInput(&rng, m, trial % 3);
+    std::vector<int64_t> ids(m);
+    for (size_t i = 0; i < m; ++i) ids[i] = 7 * static_cast<int64_t>(i) - 100;
+    for (size_t beta : {size_t{1}, size_t{2}, m / 2, (m + 1) / 2 + 1, m}) {
+      if (beta < 1 || beta > m) continue;
+      SCOPED_TRACE("trial " + std::to_string(trial) + " m " +
+                   std::to_string(m) + " beta " + std::to_string(beta));
+      EndBiasedChoice choice;
+      auto got = BuildVOptEndBiased(MustSet(freqs), beta, &choice);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(choice.num_high + choice.num_low, beta - 1);
+      auto want =
+          BuildEndBiasedHistogram(MustSet(freqs), choice.num_high,
+                                  choice.num_low);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(got->label(), beta == 1 ? "trivial" : "v-opt-end-biased");
+      EXPECT_EQ(got->bucketization(), want->bucketization());
+      ASSERT_EQ(got->bucket_stats().size(), want->bucket_stats().size());
+      for (size_t b = 0; b < got->bucket_stats().size(); ++b) {
+        const BucketStats& g = got->bucket_stats()[b];
+        const BucketStats& w = want->bucket_stats()[b];
+        EXPECT_EQ(g.count, w.count) << "bucket " << b;
+        EXPECT_EQ(bits(g.sum), bits(w.sum)) << "bucket " << b;
+        EXPECT_EQ(bits(g.sum_squares), bits(w.sum_squares)) << "bucket " << b;
+        EXPECT_EQ(bits(g.mean), bits(w.mean)) << "bucket " << b;
+        EXPECT_EQ(bits(g.variance), bits(w.variance)) << "bucket " << b;
+        EXPECT_EQ(bits(g.min), bits(w.min)) << "bucket " << b;
+        EXPECT_EQ(bits(g.max), bits(w.max)) << "bucket " << b;
+      }
+      auto got_compact = CatalogHistogram::FromHistogram(*got, ids);
+      auto want_compact = CatalogHistogram::FromHistogram(*want, ids);
+      ASSERT_TRUE(got_compact.ok() && want_compact.ok());
+      EXPECT_EQ(got_compact->Encode(), want_compact->Encode());
+    }
+  }
 }
 
 }  // namespace

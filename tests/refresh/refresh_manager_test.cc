@@ -729,6 +729,72 @@ TEST(RefreshManagerTest, DeleteOfUntrackedValueIsDriftOnly) {
   EXPECT_EQ(stats->num_distinct, 20u);
 }
 
+// A column whose every count was deleted has nothing to rebuild from: it
+// must not be reported as rebuilt, nor keep taking the only rebuild slot
+// from a drifted column scored behind it, until a delta refills it.
+TEST(RefreshManagerTest, EmptiedColumnDoesNotHoldTheRebuildSlot) {
+  Fixture f;
+  RefreshOptions options;
+  options.max_rebuilds_per_tick = 1;
+  RefreshManager manager(&f.catalog, &f.store, options);
+  auto gone = RegisterSkewed(&manager, "t", "gone");
+  auto drifted = RegisterSkewed(&manager, "t", "drifted");
+  ASSERT_TRUE(gone.ok());
+  ASSERT_TRUE(drifted.ok());
+  // RegisterSkewed holds 780 tuples: delete all of "gone", drift
+  // "drifted" by 10%.
+  std::vector<UpdateRecord> records;
+  for (int64_t value = 1; value <= 20; ++value) {
+    const double count = value == 1 ? 400.0 : value == 2 ? 200.0 : 10.0;
+    records.push_back({*gone, value, -count});
+  }
+  records.push_back({*drifted, 3, 78.0});
+  ASSERT_TRUE(manager.RecordBatch(records).ok());
+  ASSERT_TRUE(manager.ApplyPendingDeltas().ok());
+  auto drifted_score = manager.ScoreColumn(*drifted);
+  ASSERT_TRUE(drifted_score.ok());
+  EXPECT_TRUE(drifted_score->rebuild_recommended);
+  auto gone_score = manager.ScoreColumn(*gone);
+  ASSERT_TRUE(gone_score.ok());
+  ASSERT_TRUE(gone_score->rebuild_recommended);
+  EXPECT_GT(gone_score->total, drifted_score->total);  // picked first
+
+  // Tick 1 picks the emptied column, which cannot be rebuilt: nothing is
+  // installed or reported, and the column stops asking.
+  auto tick = manager.Tick();
+  ASSERT_TRUE(tick.ok());
+  EXPECT_EQ(tick->columns_rebuilt, 0u);
+  EXPECT_EQ(manager.stats().rebuilds_total, 0u);
+  gone_score = manager.ScoreColumn(*gone);
+  ASSERT_TRUE(gone_score.ok());
+  EXPECT_TRUE(gone_score->signals.unchanged_since_build);
+  EXPECT_FALSE(gone_score->rebuild_recommended);
+
+  // Tick 2 gives the slot to the drifted column; tick 3 has nothing to do.
+  tick = manager.Tick();
+  ASSERT_TRUE(tick.ok());
+  EXPECT_EQ(tick->columns_rebuilt, 1u);
+  EXPECT_EQ(manager.stats().rebuilds_total, 1u);
+  drifted_score = manager.ScoreColumn(*drifted);
+  ASSERT_TRUE(drifted_score.ok());
+  EXPECT_FALSE(drifted_score->rebuild_recommended);
+  tick = manager.Tick();
+  ASSERT_TRUE(tick.ok());
+  EXPECT_EQ(tick->columns_rebuilt, 0u);
+  EXPECT_EQ(manager.stats().rebuilds_total, 1u);
+
+  // A delta gives the emptied column something to build from again.
+  ASSERT_TRUE(manager.RecordInsert(*gone, 5).ok());
+  tick = manager.Tick();
+  ASSERT_TRUE(tick.ok());
+  EXPECT_EQ(tick->columns_rebuilt, 1u);
+  EXPECT_EQ(manager.stats().rebuilds_total, 2u);
+  auto stats = f.catalog.GetColumnStatistics("t", "gone");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->num_distinct, 1u);
+  EXPECT_DOUBLE_EQ(stats->num_tuples, 1.0);
+}
+
 // The idle-catalog regression: a column whose fresh build already scores
 // at or above the threshold used to be rebuilt into the same histogram on
 // every tick, each rebuild republishing and emptying the estimate cache.
