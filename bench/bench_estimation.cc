@@ -18,12 +18,12 @@
 //                  overload (decodes every histogram on every call).
 //                  Serving path: ResolveChain once, then id-based estimates.
 //
-// Every workload also runs through EstimateBatch on the global pool
-// (batched_seconds). A fingerprint check compares every serving-path
-// estimate against its baseline *bit for bit* — any deviation makes the
-// process exit non-zero. The headline: range_heavy at M >= 1e5 must be
-// >= 10x faster than the linear baseline (gated on >= 4 hardware threads
-// to keep CI boxes honest, although the win is algorithmic).
+// Every workload also runs through EstimateBatch, which runs each batch on
+// the calling thread (batched_seconds). A fingerprint check compares every
+// serving-path estimate against its baseline *bit for bit* — any deviation
+// makes the process exit non-zero. The headline: range_heavy at M >= 1e5
+// must be >= 10x faster than the linear baseline (gated on >= 4 hardware
+// threads to keep CI boxes honest, although the win is algorithmic).
 //
 // Timing is min-of-reps for every path (legacy, snapshot, batched): serving
 // throughput is a steady-state property and single-shot numbers on shared CI
@@ -507,8 +507,8 @@ int Run(int argc, char** argv) {
     const bool was_enabled = telemetry::Enabled();
     auto run = [&](bool enabled) {
       telemetry::SetEnabled(enabled);
-      // Warmup: touch the code path (site creation, pool spin-up) outside
-      // the timed region.
+      // Warmup: touch the code path (span-site creation) outside the timed
+      // region.
       (void)EstimateBatch(*snapshot, specs);
       Stopwatch sw;
       for (size_t b = 0; b < batches; ++b) {

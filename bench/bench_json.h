@@ -1,11 +1,13 @@
 // Bench-harness JSON helpers. The JsonWriter itself was promoted into the
 // library (util/json.h) when the network serving layer (src/net/) started
 // rendering responses with it; what remains here is the provenance header
-// every BENCH_*.json carries.
+// every BENCH_*.json carries, and the nearest-rank quantile the latency and
+// q-error figures report.
 
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "util/json.h"
 
@@ -25,5 +27,9 @@ std::string BenchGitRev();
 ///   "git_rev":       what code produced it.
 /// Call right after the top-level BeginObject().
 void WriteBenchProvenance(JsonWriter* writer);
+
+/// \brief Nearest-rank quantile \p q in [0, 1] of an ascending sample: the
+/// element at index round(q * (n - 1)), or 0 for an empty sample.
+double NearestRankQuantile(const std::vector<double>& sorted, double q);
 
 }  // namespace hops

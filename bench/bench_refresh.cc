@@ -98,13 +98,6 @@ Result<std::vector<RefreshColumnId>> RegisterColumns(
   return ids;
 }
 
-double Quantile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0;
-  const size_t index = static_cast<size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(index, sorted.size() - 1)];
-}
-
 void WriteRefreshStats(JsonWriter* w, const RefreshStats& s) {
   w->BeginObject();
   w->Key("columns_tracked");
@@ -319,8 +312,8 @@ int Run(int argc, char** argv) {
 
   std::vector<double> sorted = latencies_micros;
   std::sort(sorted.begin(), sorted.end());
-  const double p50 = Quantile(sorted, 0.50);
-  const double p99 = Quantile(sorted, 0.99);
+  const double p50 = NearestRankQuantile(sorted, 0.50);
+  const double p99 = NearestRankQuantile(sorted, 0.99);
   const double worst = sorted.empty() ? 0 : sorted.back();
   std::cout << "  reader_under_churn: " << latencies_micros.size()
             << " batches, p50 " << p50 << "us, p99 " << p99 << "us (writer "
@@ -465,10 +458,10 @@ int Run(int argc, char** argv) {
 
   std::sort(stale_q.begin(), stale_q.end());
   std::sort(tuned_q.begin(), tuned_q.end());
-  const double stale_median_q = Quantile(stale_q, 0.50);
-  const double tuned_median_q = Quantile(tuned_q, 0.50);
-  const double stale_p90_q = Quantile(stale_q, 0.90);
-  const double tuned_p90_q = Quantile(tuned_q, 0.90);
+  const double stale_median_q = NearestRankQuantile(stale_q, 0.50);
+  const double tuned_median_q = NearestRankQuantile(tuned_q, 0.50);
+  const double stale_p90_q = NearestRankQuantile(stale_q, 0.90);
+  const double tuned_p90_q = NearestRankQuantile(tuned_q, 0.90);
   const RefreshStats tuned_stats = tuned_rig->manager->stats();
   // Every in-place change the tuner made: damped adjustments plus
   // default->explicit promotions. seconds_per_adjustment divides by this.

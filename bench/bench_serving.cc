@@ -149,13 +149,6 @@ std::string PostBinary(const std::string& target, const std::string& body) {
          body;
 }
 
-double Quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const size_t index = static_cast<size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(index, sorted.size() - 1)];
-}
-
 struct BinaryVsJson {
   uint64_t requests = 0;      // per framing
   uint64_t errors = 0;
@@ -326,9 +319,9 @@ int Run(int argc, char** argv) {
     point.seconds = seconds;
     point.requests_per_second =
         seconds > 0 ? static_cast<double>(point.requests) / seconds : 0;
-    point.p50_micros = Quantile(sorted, 0.50);
-    point.p99_micros = Quantile(sorted, 0.99);
-    point.p999_micros = Quantile(sorted, 0.999);
+    point.p50_micros = NearestRankQuantile(sorted, 0.50);
+    point.p99_micros = NearestRankQuantile(sorted, 0.99);
+    point.p999_micros = NearestRankQuantile(sorted, 0.999);
     sweep.push_back(point);
     std::cout << "  serving_sweep[connections=" << connections
               << "]: " << point.requests << " requests in " << point.seconds

@@ -1,8 +1,9 @@
-// Bench provenance helpers (bench_json.h). The JsonWriter implementation
-// lives in util/json.cc since its promotion into the library.
+// Bench provenance and quantile helpers (bench_json.h). The JsonWriter
+// implementation lives in util/json.cc since its promotion into the library.
 
 #include "bench_json.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -49,6 +50,13 @@ void WriteBenchProvenance(JsonWriter* writer) {
   writer->String(BenchTimestampUtc());
   writer->Key("git_rev");
   writer->String(BenchGitRev());
+}
+
+double NearestRankQuantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const size_t index = static_cast<size_t>(
+      q * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[std::min(index, sorted.size() - 1)];
 }
 
 }  // namespace hops

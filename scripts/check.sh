@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification pipeline: configure, build, test, regenerate every
 # table/figure. This is the same entrypoint CI runs (.github/workflows/ci.yml):
-#   (no flag)  tier-1 job: configure, build, ctest, regenerate benches
+#   (no flag)  tier-1 job: configure, build, ctest, regenerate benches and
+#              check their schemas and tier-1 gates (scripts/bench_gates.py)
 #   --asan     also run the ASan+UBSan build + tests
 #   --tsan     also run the ThreadSanitizer build over the concurrency
 #              suites (thread_pool_test, parallel_build_test,
@@ -14,8 +15,9 @@
 #              Prometheus dump for the expected metric families (the §9
 #              end-to-end observability gate)
 #   --probe-smoke  build + run bench_estimation --quick and assert the §12
-#              determinism gates: eytzinger_vs_lower_bound.identical, every
-#              workload bit-identical, and batched >= snapshot per workload
+#              tier-1 gates (scripts/bench_gates.py): eytzinger_vs_lower_bound
+#              identical, every workload bit-identical, and batched >=
+#              snapshot per workload
 #   --daemon-smoke  one examples/serve_estimates lifecycle over loopback,
 #              the end-to-end gate of §11 and §13–§15:
 #                1. boot A with HOPS_SELFTUNE=on and a data dir; /estimate,
@@ -52,29 +54,6 @@ for arg in "$@"; do
   esac
 done
 
-# The §12 batched-fast-lane gates, shared by tier-1 (on the full bench
-# output) and --probe-smoke (on a fresh --quick run): every workload must be
-# bit-identical to the legacy reference, the Eytzinger sweep must agree with
-# std::lower_bound, and the batched lane must never lose to the plain
-# snapshot lane it builds on.
-assert_estimation_gates() {
-  python3 - "$1" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-sweep = doc["eytzinger_vs_lower_bound"]
-assert sweep["identical"], "eytzinger_vs_lower_bound: index mismatch"
-for w in doc["workloads"]:
-    name = w["name"]
-    assert w["identical"], f"{name}: batched estimates not bit-identical"
-    assert w["speedup_batched"] >= w["speedup_snapshot"], (
-        f"{name}: batched lane ({w['speedup_batched']:.3f}x) lost to the "
-        f"snapshot lane ({w['speedup_snapshot']:.3f}x)")
-print(f"estimation gates: {len(doc['workloads'])} workloads bit-identical, "
-      f"batched >= snapshot everywhere, eytzinger sweep identical "
-      f"({sweep['speedup_multiprobe']:.2f}x multiprobe).")
-PY
-}
-
 if [[ "$RUN_TIER1" == 1 ]]; then
   cmake -B build -G Ninja
   cmake --build build
@@ -85,76 +64,13 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     "$b"
   done
 
-  # The refresh bench must carry the §15 self-tuning axis plus the
-  # provenance fields every BENCH_*.json promises — a silent schema
-  # regression here would break cross-PR perf tracking.
-  echo "== Checking BENCH_refresh.json schema (selftune + provenance) =="
-  for field in '"ticks_skipped"' \
-      '"selftune"' '"tuned_median_qerror"' '"tuned_beats_stale"' \
-      '"seconds_per_adjustment"' '"tuning_off_bit_identical"' \
-      '"timestamp_utc"' '"git_rev"'; do
-    if ! grep -q "$field" BENCH_refresh.json; then
-      echo "BENCH_refresh.json: missing field $field" >&2
-      exit 1
-    fi
-  done
-
-  # Same contract for the §11 serving bench: the connections sweep axis,
-  # the latency quantiles, and the provenance header.
-  echo "== Checking BENCH_serving.json schema (connections axis + provenance) =="
-  for field in '"connections"' '"requests_per_second"' '"p50_micros"' \
-      '"p99_micros"' '"p999_micros"' '"binary_vs_json"' '"binary_speedup"' \
-      '"tracing_overhead"' '"overhead_percent"' '"target_percent"' \
-      '"timestamp_utc"' '"git_rev"'; do
-    if ! grep -q "$field" BENCH_serving.json; then
-      echo "BENCH_serving.json: missing field $field" >&2
-      exit 1
-    fi
-  done
-
-  # The §14 tracing budget: the traced serving path must answer
-  # bit-identically and stay within its overhead target at the default
-  # 1/64 head-sampling rate.
-  echo "== Checking BENCH_serving.json tracing-overhead gate =="
-  python3 - BENCH_serving.json <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-t = doc["tracing_overhead"]
-assert t["identical"], "tracing_overhead: traced estimates not bit-identical"
-assert t["errors"] == 0, f"tracing_overhead: {t['errors']} request errors"
-assert t["overhead_percent"] < t["target_percent"], (
-    f"tracing overhead {t['overhead_percent']:.2f}% exceeds the "
-    f"{t['target_percent']:.0f}% budget")
-print(f"tracing gate: {t['overhead_percent']:.2f}% overhead at 1/"
-      f"{t['sample_one_in']} sampling (< {t['target_percent']:.0f}% budget), "
-      f"estimates bit-identical.")
-PY
-
-  # And the §12 estimation bench: the batched/multiprobe axes, the cold-call
-  # record, the point-workload headline, and provenance.
-  echo "== Checking BENCH_estimation.json schema (batched axes + provenance) =="
-  for field in '"eytzinger_vs_lower_bound"' '"speedup_multiprobe"' \
-      '"speedup_batched"' '"batched_cold_seconds"' '"point_headline"' \
-      '"identical"' '"timestamp_utc"' '"git_rev"'; do
-    if ! grep -q "$field" BENCH_estimation.json; then
-      echo "BENCH_estimation.json: missing field $field" >&2
-      exit 1
-    fi
-  done
-  echo "== Checking BENCH_estimation.json determinism/ordering gates =="
-  assert_estimation_gates BENCH_estimation.json
-
-  # And the §13 storage bench: fsync-mode axis, recovery sweep, the
-  # accept-path overhead scored against its target, and provenance.
-  echo "== Checking BENCH_storage.json schema (durability axes + provenance) =="
-  for field in '"snapshot"' '"write_mb_per_second"' '"load_mb_per_second"' \
-      '"wal_append"' '"fsync"' '"writeback_kicks"' '"recovery"' \
-      '"wal_records"' '"accept_overhead"' '"overhead_percent"' \
-      '"target_percent"' '"timestamp_utc"' '"git_rev"'; do
-    if ! grep -q "$field" BENCH_storage.json; then
-      echo "BENCH_storage.json: missing field $field" >&2
-      exit 1
-    fi
+  # Every BENCH_*.json schema and gate is declared once, in
+  # scripts/bench_gates.py: the bench name, provenance, the schema fields
+  # cross-PR perf tracking reads, and the tier-1 gates (§12 estimation
+  # determinism and ordering, §14 tracing overhead).
+  for artifact in refresh serving estimation storage; do
+    echo "== Checking BENCH_$artifact.json schema and tier-1 gates =="
+    python3 scripts/bench_gates.py --tier1 "$artifact"
   done
 fi
 
@@ -221,7 +137,7 @@ if [[ "$RUN_PROBE_SMOKE" == 1 ]]; then
   cmake --build build --target bench_estimation
   PROBE_OUT=$(mktemp /tmp/probe_smoke.XXXXXX.json)
   ./build/bench/bench_estimation "$PROBE_OUT" --quick
-  assert_estimation_gates "$PROBE_OUT"
+  python3 scripts/bench_gates.py --tier1 estimation "$PROBE_OUT"
   rm -f "$PROBE_OUT"
   echo "probe smoke: all §12 gates hold."
 fi

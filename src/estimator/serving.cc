@@ -348,7 +348,7 @@ Result<double> EstimateOne(const CatalogSnapshot& snapshot,
 
 std::vector<Result<double>> EstimateBatch(const CatalogSnapshot& snapshot,
                                           std::span<const EstimateSpec> specs,
-                                          ThreadPool* pool) {
+                                          ThreadPool*) {
   std::vector<Result<double>> results(
       specs.size(), Result<double>(Status::Internal("not estimated")));
   if (specs.empty()) return results;
@@ -371,7 +371,6 @@ std::vector<Result<double>> EstimateBatch(const CatalogSnapshot& snapshot,
     estimates_total->Increment(specs.size());
     batches_total->Increment();
   }
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Global();
   const EstimateCache& cache = snapshot.estimate_cache();
 
   // Pass 1 — classify (serial, pure ALU): resolve each spec to a lane and
@@ -527,17 +526,9 @@ std::vector<Result<double>> EstimateBatch(const CatalogSnapshot& snapshot,
                    " cache_misses=" +
                    std::to_string(cache_lookups - cache_hits));
   }
-  // Workers install the batch span's child context so kernel spans opened
-  // on pool threads join this request's trace tree (DESIGN.md §14). When
-  // the batch is not being traced this is a cheap invalid context and the
-  // per-lane spans skip event emission entirely.
-  const telemetry::TraceContext lane_context = span.ChildContext();
-
   // Pass 3 — group the kernel-eligible probes by column with a stable
   // counting bucket (comparison sort is O(n log n) indirections through the
   // plans array and degenerates exactly on the common one-hot-column batch).
-  // Every spec still writes only its own result slot, so pool size never
-  // changes the bits.
   struct Segment {
     size_t begin;
     size_t end;
@@ -565,29 +556,26 @@ std::vector<Result<double>> EstimateBatch(const CatalogSnapshot& snapshot,
   bucket_by_column(point_idx, &point_segments);
   bucket_by_column(range_idx, &range_segments);
 
-  // Pass 4 — execute. Same-column probes run through the multi-probe
-  // Eytzinger kernel; everything else goes through EstimateOne. Each lane
-  // finishes with arithmetic operation-for-operation identical to the
-  // scalar path, then publishes exactly-keyed results to the memo.
+  // Pass 4 — execute, one lane after another on the calling thread: a
+  // kernel costs tens of nanoseconds per spec, less than waking a pool
+  // worker would. Same-column probes run through the multi-probe Eytzinger
+  // kernel; everything else goes through EstimateOne. Each lane finishes
+  // with arithmetic operation-for-operation identical to the scalar path,
+  // then publishes exactly-keyed results to the memo. Each lane's span
+  // nests under the batch span.
   if (!misc_idx.empty()) {
-    const size_t grain = std::max<size_t>(
-        1, misc_idx.size() / (8 * std::max<size_t>(1, p.num_threads())));
-    p.ParallelFor(0, misc_idx.size(), grain, [&](size_t begin, size_t end) {
-      telemetry::TraceContextScope lane_scope(lane_context);
-      static telemetry::SpanSite& misc_site =
-          telemetry::GetSpanSite("Serving.MiscLane");
-      telemetry::TraceSpan lane_span(misc_site);
-      if (lane_span.emitting()) {
-        lane_span.SetDetail("specs=" + std::to_string(end - begin));
+    static telemetry::SpanSite& misc_site =
+        telemetry::GetSpanSite("Serving.MiscLane");
+    telemetry::TraceSpan lane_span(misc_site);
+    if (lane_span.emitting()) {
+      lane_span.SetDetail("specs=" + std::to_string(misc_idx.size()));
+    }
+    for (size_t i : misc_idx) {
+      results[i] = EstimateOne(snapshot, specs[i]);
+      if (plans[i].cacheable && results[i].ok()) {
+        cache.Insert(PlanCacheKey(plans[i]), *results[i]);
       }
-      for (size_t j = begin; j < end; ++j) {
-        const size_t i = misc_idx[j];
-        results[i] = EstimateOne(snapshot, specs[i]);
-        if (plans[i].cacheable && results[i].ok()) {
-          cache.Insert(PlanCacheKey(plans[i]), *results[i]);
-        }
-      }
-    });
+    }
   }
   auto run_point_segment = [&](const Segment& segment) {
     const ColumnId column = plans[point_idx[segment.begin]].column;
@@ -669,38 +657,24 @@ std::vector<Result<double>> EstimateBatch(const CatalogSnapshot& snapshot,
     }
   };
   if (!point_segments.empty()) {
-    p.ParallelFor(0, point_segments.size(), 1, [&](size_t begin, size_t end) {
-      telemetry::TraceContextScope lane_scope(lane_context);
-      static telemetry::SpanSite& point_site =
-          telemetry::GetSpanSite("Serving.PointKernel");
-      telemetry::TraceSpan lane_span(point_site);
-      if (lane_span.emitting()) {
-        size_t probes = 0;
-        for (size_t s = begin; s < end; ++s) {
-          probes += point_segments[s].end - point_segments[s].begin;
-        }
-        lane_span.SetDetail("segments=" + std::to_string(end - begin) +
-                            " probes=" + std::to_string(probes));
-      }
-      for (size_t s = begin; s < end; ++s) run_point_segment(point_segments[s]);
-    });
+    static telemetry::SpanSite& point_site =
+        telemetry::GetSpanSite("Serving.PointKernel");
+    telemetry::TraceSpan lane_span(point_site);
+    if (lane_span.emitting()) {
+      lane_span.SetDetail("segments=" + std::to_string(point_segments.size()) +
+                          " probes=" + std::to_string(point_idx.size()));
+    }
+    for (const Segment& segment : point_segments) run_point_segment(segment);
   }
   if (!range_segments.empty()) {
-    p.ParallelFor(0, range_segments.size(), 1, [&](size_t begin, size_t end) {
-      telemetry::TraceContextScope lane_scope(lane_context);
-      static telemetry::SpanSite& range_site =
-          telemetry::GetSpanSite("Serving.RangeKernel");
-      telemetry::TraceSpan lane_span(range_site);
-      if (lane_span.emitting()) {
-        size_t probes = 0;
-        for (size_t s = begin; s < end; ++s) {
-          probes += range_segments[s].end - range_segments[s].begin;
-        }
-        lane_span.SetDetail("segments=" + std::to_string(end - begin) +
-                            " probes=" + std::to_string(probes));
-      }
-      for (size_t s = begin; s < end; ++s) run_range_segment(range_segments[s]);
-    });
+    static telemetry::SpanSite& range_site =
+        telemetry::GetSpanSite("Serving.RangeKernel");
+    telemetry::TraceSpan lane_span(range_site);
+    if (lane_span.emitting()) {
+      lane_span.SetDetail("segments=" + std::to_string(range_segments.size()) +
+                          " probes=" + std::to_string(range_idx.size()));
+    }
+    for (const Segment& segment : range_segments) run_range_segment(segment);
   }
 
   // Pass 5 — fan deduped chain results out to their aliases.

@@ -4,7 +4,8 @@
 // workload. They operate on a CatalogSnapshot (engine/catalog_snapshot.h):
 // statistics are already decoded and compiled, columns are addressed by
 // dense interned ids, and the whole snapshot is immutable — so estimates
-// are lock-free, allocation-light, and safe to fan across threads.
+// are lock-free, allocation-light, and safe to run from any number of
+// threads at once.
 //
 // Determinism contract: every function here is bit-identical to its
 // Catalog/ColumnStatistics counterpart in selectivity.h / join_estimator.h
@@ -113,11 +114,14 @@ Result<double> EstimateOne(const CatalogSnapshot& snapshot,
                            const EstimateSpec& spec);
 
 /// \brief Batched estimation: runs every spec against the (immutable)
-/// snapshot, fanning independent estimates across \p pool (nullptr = the
-/// global pool). Results align with specs; per-spec failures do not abort
-/// the batch. Bit-identical to a serial EstimateOne loop at any pool size
-/// (each index is computed independently — the thread pool's determinism
-/// contract, DESIGN.md §6).
+/// snapshot on the calling thread. Results align with specs; per-spec
+/// failures do not abort the batch. Bit-identical to a serial EstimateOne
+/// loop.
+///
+/// \p pool is ignored: a batch's kernels cost tens of nanoseconds per spec,
+/// less than handing them to pool workers costs, so no batch is fanned out.
+/// The parameter stays only because the repository benchmark's replay
+/// driver (perfbench/src/replay.cc) still passes one; it goes with that use.
 ///
 /// This is the batched probe fast lane (DESIGN.md §12): point and range
 /// specs are grouped by column and routed through the interleaved Eytzinger
@@ -155,8 +159,8 @@ struct PredicateOutcome {
 /// StalenessAdvisor folds an EWMA of the relative error into its rebuild
 /// priority, and the SelfTuner folds the predicate-shaped form into
 /// in-place histogram adjustments, closing the query-feedback loop of
-/// self-tuning histograms. Implementations must be thread-safe: estimates
-/// (and therefore reports) fan across threads.
+/// self-tuning histograms. Implementations must be thread-safe: reports
+/// arrive from every serving thread at once.
 class EstimationFeedbackSink {
  public:
   virtual ~EstimationFeedbackSink() = default;

@@ -326,8 +326,8 @@ HttpResponse EstimateService::Handle(const HttpRequest& request) {
   // Trace ingress (DESIGN.md §14): adopt the client's traceparent or mint
   // a fresh context, decide sampling ONCE (deterministic in the trace id;
   // an explicit incoming sampled flag forces recording), and install the
-  // context for the request's dynamic extent so every span below — across
-  // pool workers too — joins this request's tree.
+  // context for the request's dynamic extent so every span below joins
+  // this request's tree.
   telemetry::TraceRecorder* recorder = this->recorder();
   telemetry::TraceContext context;
   bool client_requested_sampling = false;
@@ -763,7 +763,7 @@ HttpResponse EstimateService::HandleEstimate(
   }
 
   const std::vector<Result<double>> results =
-      EstimateBatch(*snapshot, specs, options_.pool);
+      EstimateBatch(*snapshot, specs);
 
   return binary ? EncodeFrame(snapshot->source_version(), slots, results)
                 : EncodeJson(snapshot->source_version(), slots, results);

@@ -130,7 +130,9 @@ struct WalDebugInfo {
 struct EstimateServiceOptions {
   /// RCU snapshot source for /estimate and /feedback. Required.
   SnapshotStore* store = nullptr;
-  /// Pool EstimateBatch fans over; nullptr = the process-wide pool.
+  /// Ignored: EstimateBatch runs on the calling event-loop worker. Kept
+  /// only because the repository benchmark (perfbench/src/stack.cc) still
+  /// sets it; it goes with that use.
   ThreadPool* pool = nullptr;
   /// Receiver for /feedback outcomes (e.g. telemetry::AccuracyTracker).
   /// nullptr disables /feedback with a 503.

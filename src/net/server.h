@@ -15,9 +15,10 @@
 // the kernel load-balances accepts across workers and there is no shared
 // accept lock; every connection lives on exactly one worker's epoll for its
 // whole life, so connection state needs no synchronization. The handler
-// runs on the worker thread — EstimateBatch already fans heavy batches
-// across the process-wide pool, so the event loop never blocks on
-// estimation longer than one batch.
+// runs on the worker thread, EstimateBatch included: a batch's kernels
+// cost tens of nanoseconds per spec, so the event loop blocks on
+// estimation for one batch at most, and scales across workers rather than
+// across a pool.
 //
 // Keep-alive hygiene: each worker's epoll_wait runs with a finite timeout
 // and periodically reaps connections that produced no socket events for

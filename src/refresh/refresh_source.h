@@ -24,7 +24,8 @@ struct RefreshTickReport {
   /// churning the SnapshotStore RCU epoch would invalidate reader-side
   /// caches for nothing (counted in RefreshStats::ticks_skipped).
   bool changed = false;
-  /// Whether a snapshot was published (changed, and a store is attached).
+  /// Whether a snapshot was published (equals changed: every
+  /// RefreshManager publishes through its store).
   bool republished = false;
   double seconds = 0;
 };

@@ -116,7 +116,7 @@ TraceSpan::TraceSpan(SpanSite& site) {
       context_ = context;
       span_id_ = MintSpanId();
       // Same-thread nesting wins (the enclosing span is by construction
-      // the nearest ancestor); a cross-thread worker parents under the
+      // the nearest ancestor); a thread's outermost span parents under the
       // span id its installed context carries.
       parent_span_id_ = (parent_ != nullptr && parent_->span_id_ != 0)
                             ? parent_->span_id_
@@ -131,12 +131,6 @@ void TraceSpan::SetDetail(std::string_view detail) {
   const size_t n = std::min(detail.size(), sizeof(detail_) - 1);
   std::memcpy(detail_, detail.data(), n);
   detail_[n] = '\0';
-}
-
-TraceContext TraceSpan::ChildContext() const {
-  TraceContext child = span_id_ != 0 ? context_ : CurrentTraceContext();
-  if (span_id_ != 0) child.span_id = span_id_;
-  return child;
 }
 
 TraceSpan::~TraceSpan() {

@@ -6,11 +6,12 @@
 // A TraceSpan is a stack object timing one dynamic extent. Spans nest via a
 // thread-local stack: when a span closes it charges its wall time to its
 // parent's child-time, so every span site accumulates both *total* time
-// (inclusive of children) and *self* time (exclusive). Spans opened on
-// other threads (e.g. pool workers inside an EstimateBatch span) are
-// independent roots for the *metrics* self-time accounting; for *request
-// tracing* they join the request's tree when the worker installs the
-// fanning span's ChildContext() (DESIGN.md §14).
+// (inclusive of children) and *self* time (exclusive). A request's spans
+// all open on the thread that serves it — EstimateBatch's kernel spans nest
+// under its batch span — so one request is one span stack. Spans opened on
+// other threads (e.g. the refresh daemon's tick) are independent roots; for
+// *request tracing* a thread's outermost span parents under the span id of
+// the TraceContext it installed (TraceContextScope, DESIGN.md §14).
 //
 // Since PR 9 every span is also a potential trace event: when the
 // thread-local TraceContext (trace_context.h) is valid and head-sampled
@@ -108,11 +109,6 @@ class TraceSpan {
   /// Attaches a short attribute string ("k=v k=v") to the emitted event,
   /// truncated to TraceEvent::kDetailBytes-1. No-op when !emitting().
   void SetDetail(std::string_view detail);
-
-  /// The context a worker thread should install (TraceContextScope) so
-  /// spans it opens parent under this span. Falls back to the span's own
-  /// inherited context when this span is not emitting.
-  TraceContext ChildContext() const;
 
  private:
   SpanSite* site_;     // null when telemetry was disabled at construction

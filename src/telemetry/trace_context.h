@@ -1,11 +1,10 @@
 // Request-scoped trace identity (DESIGN.md §14): a 128-bit trace id plus
 // the 64-bit id of the currently-open span, carried BY VALUE through the
 // serving call graph. The context is minted at HTTP ingress (or adopted
-// from an incoming W3C `traceparent` header), installed in a thread-local
-// slot for the request's dynamic extent, and re-installed inside thread
-// pool workers so spans opened on other threads still join the request's
-// tree. Background work (refresh ticks, checkpoints) mints its own root
-// context per unit of work.
+// from an incoming W3C `traceparent` header) and installed in a
+// thread-local slot for the request's dynamic extent; every span of the
+// request opens on that thread. Background work (refresh ticks,
+// checkpoints) mints its own root context per unit of work.
 //
 // The context answers two questions for every TraceSpan that opens:
 //   - which trace am I part of (trace_hi/trace_lo, zero = none)?
@@ -70,8 +69,8 @@ std::string FormatSpanId(uint64_t span_id);
 const TraceContext& CurrentTraceContext();
 
 /// \brief RAII install/restore of the thread-local context. Install the
-/// request's context at ingress and a derived context (parent span swapped
-/// for the fanning span's id) inside pool worker lambdas.
+/// request's context at ingress, and a freshly minted root context around
+/// each unit of background work.
 class TraceContextScope {
  public:
   explicit TraceContextScope(const TraceContext& context);

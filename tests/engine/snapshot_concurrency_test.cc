@@ -14,7 +14,6 @@
 #include "engine/catalog.h"
 #include "engine/catalog_snapshot.h"
 #include "estimator/serving.h"
-#include "util/thread_pool.h"
 
 namespace hops {
 namespace {
@@ -115,7 +114,6 @@ TEST(SnapshotConcurrencyTest, ConcurrentBatchesShareOneSnapshot) {
   // Two concurrent batches over the same immutable snapshot while a writer
   // republishes: estimates stay consistent because the snapshot never
   // mutates underneath them.
-  ThreadPool pool(3);
   std::vector<Result<double>> batch1, batch2;
   std::thread writer([&] {
     for (uint64_t g = 0; g < 50; ++g) {
@@ -123,8 +121,8 @@ TEST(SnapshotConcurrencyTest, ConcurrentBatchesShareOneSnapshot) {
       store.RepublishFrom(catalog).status().Check();
     }
   });
-  std::thread t1([&] { batch1 = EstimateBatch(*snap, specs, &pool); });
-  std::thread t2([&] { batch2 = EstimateBatch(*snap, specs, &pool); });
+  std::thread t1([&] { batch1 = EstimateBatch(*snap, specs); });
+  std::thread t2([&] { batch2 = EstimateBatch(*snap, specs); });
   t1.join();
   t2.join();
   writer.join();

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "engine/catalog.h"
@@ -16,6 +19,7 @@
 #include "estimator/join_estimator.h"
 #include "estimator/predicate_estimator.h"
 #include "estimator/selectivity.h"
+#include "util/thread_pool.h"
 
 namespace hops {
 namespace {
@@ -192,17 +196,47 @@ TEST(ServingTest, EstimateBatchMatchesSerialLoop) {
   EXPECT_FALSE(batched[2].ok());
 }
 
+// EstimateBatch runs on its calling thread and leaves a pool it is handed
+// alone. Both workers are parked first, so a task handed to the pool would
+// stay queued where Help() finds it.
 TEST(ServingTest, EstimateBatchEmptyAndExplicitPool) {
   Fixture f;
   EXPECT_TRUE(EstimateBatch(*f.snapshot, {}).empty());
   ThreadPool pool(2);
-  std::vector<EstimateSpec> specs(
-      37, EstimateSpec::Equality(f.r_a_id, Value(int64_t{1})));
-  std::vector<Result<double>> results = EstimateBatch(*f.snapshot, specs, &pool);
+  Latch release(1);
+  std::atomic<int> parked{0};
+  for (int worker = 0; worker < 2; ++worker) {
+    pool.Submit([&] {
+      parked.fetch_add(1);
+      release.Wait();
+    });
+  }
+  while (parked.load() < 2) std::this_thread::yield();
+
+  // Every lane has two independent units of work: point probes and range
+  // probes on two columns each, and a join beside an IN list.
+  const std::vector<EstimateSpec> specs = {
+      EstimateSpec::Equality(f.r_a_id, Value(int64_t{1})),
+      EstimateSpec::Equality(f.s_b_id, Value(int64_t{4})),
+      EstimateSpec::Range(f.r_a_id, RangeBounds{1, 8, true, false}),
+      EstimateSpec::Range(f.r_b_id, RangeBounds{0, 12, true, true}),
+      EstimateSpec::Join(f.r_a_id, f.s_a_id),
+      EstimateSpec::In(f.s_a_id, {Value(int64_t{2}), Value(int64_t{7})}),
+  };
+  const std::vector<Result<double>> results =
+      EstimateBatch(*f.snapshot, specs, &pool);
+  const bool queued = pool.Help();
+  release.CountDown();
+
+  EXPECT_FALSE(queued) << "EstimateBatch handed work to the pool";
   ASSERT_EQ(results.size(), specs.size());
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, 30.0);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const Result<double> serial = EstimateOne(*f.snapshot, specs[i]);
+    ASSERT_TRUE(serial.ok()) << "spec " << i;
+    ASSERT_TRUE(results[i].ok()) << "spec " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(*results[i]),
+              std::bit_cast<uint64_t>(*serial))
+        << "spec " << i;
   }
 }
 

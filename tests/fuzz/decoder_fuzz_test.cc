@@ -1,8 +1,10 @@
 // Seeded mutation fuzzing of the decoders that read outside bytes: the
-// binary /estimate request and response frames (net/wire_format.h), the
-// catalog histogram form (histogram/serialization.h) and the `.hsnp`
-// snapshot image (storage/snapshot_file.h). The WAL is walked exhaustively
-// by tests/storage/corruption_matrix_test.cc instead.
+// HTTP request parser (net/http.h), the JSON reader the /estimate,
+// /feedback and /update bodies go through (util/json.h), the binary
+// /estimate request and response frames (net/wire_format.h), the catalog
+// histogram form (histogram/serialization.h) and the `.hsnp` snapshot image
+// (storage/snapshot_file.h). The WAL is walked exhaustively by
+// tests/storage/corruption_matrix_test.cc instead.
 //
 // Each target starts from a valid encoding and applies random multi-byte
 // flips, truncations, extensions and splices, with the deterministic PRNG
@@ -15,9 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <ostream>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -25,10 +30,12 @@
 
 #include "histogram/serialization.h"
 #include "histogram/tuning.h"
+#include "net/http.h"
 #include "net/wire_format.h"
 #include "storage/snapshot_file.h"
 #include "util/bytes.h"
 #include "util/crc32c.h"
+#include "util/json.h"
 #include "util/random.h"
 
 namespace hops {
@@ -104,6 +111,243 @@ void FuzzFrom(uint64_t seed, const std::string& valid, std::string_view donor,
     const std::string mutated = Mutate(valid, donor, &rng);
     check(ExactBuffer(mutated).view(), /*unmutated=*/false);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// ------------------------------------------------------------ HTTP parser
+
+// Small limits, so mutated lengths reach the 413 and 431 verdicts.
+constexpr net::HttpParserLimits kFuzzLimits{/*max_header_bytes=*/256,
+                                            /*max_body_bytes=*/128};
+
+std::string PostRequest(const std::string& target, const std::string& extra,
+                        const std::string& body) {
+  return "POST " + target + " HTTP/1.1\r\nHost: hops\r\n" + extra +
+         "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" +
+         body;
+}
+
+// Everything the parser hands out, in order: each request's fields, then
+// the error verdict (if any) that ended the stream.
+struct ParseOutcome {
+  std::vector<std::string> requests;
+  int error_status = 0;
+  bool operator==(const ParseOutcome&) const = default;
+};
+
+void PrintTo(const ParseOutcome& outcome, std::ostream* out) {
+  *out << outcome.requests.size() << " requests, verdict "
+       << outcome.error_status;
+}
+
+std::string Describe(const net::HttpRequest& request) {
+  std::string out = request.method + " " + request.target + " 1." +
+                    std::to_string(request.version_minor) +
+                    (request.keep_alive ? " keep-alive\n" : " close\n");
+  for (const auto& [name, value] : request.headers) {
+    out += name + ": " + value + "\n";
+  }
+  return out + std::to_string(request.body.size()) + ":" + request.body;
+}
+
+// Feeds `bytes` in the given piece sizes (the rest in one last piece),
+// pulling every complete request after each piece, as a connection does
+// after each read. Stops at the first error.
+ParseOutcome ParsePieces(std::string_view bytes,
+                         const std::vector<size_t>& pieces) {
+  net::HttpParser parser(kFuzzLimits);
+  ParseOutcome outcome;
+  size_t fed = 0;
+  for (size_t i = 0; i <= pieces.size() && fed < bytes.size(); ++i) {
+    const size_t take = i < pieces.size()
+                            ? std::min(pieces[i], bytes.size() - fed)
+                            : bytes.size() - fed;
+    const ExactBuffer piece(bytes.substr(fed, take));
+    parser.Feed(piece.view());
+    fed += take;
+    net::HttpRequest request;
+    net::HttpParser::Event event;
+    while ((event = parser.Next(&request)) ==
+           net::HttpParser::Event::kRequest) {
+      outcome.requests.push_back(Describe(request));
+    }
+    if (event == net::HttpParser::Event::kError) {
+      outcome.error_status = parser.error_status();
+      EXPECT_FALSE(parser.error_message().empty());
+      // The verdict is final: the parser does not resynchronize.
+      parser.Feed("GET / HTTP/1.1\r\n\r\n");
+      EXPECT_EQ(parser.Next(&request), net::HttpParser::Event::kError);
+      EXPECT_EQ(parser.error_status(), outcome.error_status);
+      return outcome;
+    }
+  }
+  return outcome;
+}
+
+TEST(DecoderFuzzTest, HttpParser) {
+  const std::string estimate = R"({"specs":[{"kind":"equality",)"
+                               R"("table":"orders","column":"c","value":7}]})";
+  const std::string update =
+      R"({"updates":[{"table":"t","column":"c","value":1,"weight":2.5}]})";
+  const std::string valid =
+      PostRequest("/estimate",
+                  "traceparent: 00-4bf92f3577b34da6a3ce929d0e0e4736-"
+                  "00f067aa0ba902b7-01\r\n",
+                  estimate) +
+      "GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n" +
+      "\r\n" + PostRequest("/update", "Connection: close\r\n", update);
+  const std::string donor =
+      "GET /metrics HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+      "Content-Length: 99999\r\nX-Pad: " +
+      std::string(64, 'p') + "\r\n\r\n";
+  Rng splits(0x5B117);
+  std::set<int> verdicts;
+  FuzzFrom(0x4770, valid, donor, [&](std::string_view bytes, bool unmutated) {
+    const ParseOutcome whole = ParsePieces(bytes, {});
+    verdicts.insert(whole.error_status);
+    if (unmutated) {
+      ASSERT_EQ(whole.error_status, 0);
+      ASSERT_EQ(whole.requests.size(), 3u);
+      EXPECT_NE(whole.requests[0].find(estimate), std::string::npos);
+      EXPECT_NE(whole.requests[2].find(update), std::string::npos);
+    }
+    // However the bytes are split across reads, the parser hands out the
+    // same requests and the same verdict.
+    std::vector<size_t> pieces;
+    for (size_t fed = 0; fed < bytes.size();) {
+      pieces.push_back(1 + splits.NextBounded(24));
+      fed += pieces.back();
+    }
+    EXPECT_EQ(ParsePieces(bytes, pieces), whole);
+  });
+  // Only the documented verdicts occur, and the mutations reach each of
+  // them as well as complete streams.
+  EXPECT_EQ(verdicts, (std::set<int>{0, 400, 413, 431, 501, 505}));
+}
+
+// ------------------------------------------------------------ JSON bodies
+
+void Render(const JsonValue& value, JsonWriter* out) {
+  switch (value.type()) {
+    case JsonValue::Type::kNull:
+      out->Null();
+      return;
+    case JsonValue::Type::kBool:
+      out->Bool(value.AsBool());
+      return;
+    case JsonValue::Type::kNumber:
+      if (value.is_integer()) {
+        out->Int(value.AsInt64());
+      } else {
+        out->Double(value.AsDouble());
+      }
+      return;
+    case JsonValue::Type::kString:
+      out->String(value.AsString());
+      return;
+    case JsonValue::Type::kArray:
+      out->BeginArray();
+      for (const JsonValue& element : value.AsArray()) Render(element, out);
+      out->EndArray();
+      return;
+    case JsonValue::Type::kObject:
+      out->BeginObject();
+      for (const auto& [key, member] : value.AsObject()) {
+        out->Key(key);
+        Render(member, out);
+      }
+      out->EndObject();
+      return;
+  }
+}
+
+// Structural equality; numbers compare by value (a re-rendered 1.0 reads
+// back as the integer 1).
+bool SameJson(const JsonValue& a, const JsonValue& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case JsonValue::Type::kNull:
+      return true;
+    case JsonValue::Type::kBool:
+      return a.AsBool() == b.AsBool();
+    case JsonValue::Type::kNumber:
+      return a.AsDouble() == b.AsDouble();
+    case JsonValue::Type::kString:
+      return a.AsString() == b.AsString();
+    case JsonValue::Type::kArray: {
+      const JsonValue::Array& x = a.AsArray();
+      const JsonValue::Array& y = b.AsArray();
+      if (x.size() != y.size()) return false;
+      for (size_t i = 0; i < x.size(); ++i) {
+        if (!SameJson(x[i], y[i])) return false;
+      }
+      return true;
+    }
+    case JsonValue::Type::kObject: {
+      const JsonValue::Object& x = a.AsObject();
+      const JsonValue::Object& y = b.AsObject();
+      if (x.size() != y.size()) return false;
+      for (size_t i = 0; i < x.size(); ++i) {
+        if (x[i].first != y[i].first || !SameJson(x[i].second, y[i].second)) {
+          return false;
+        }
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(DecoderFuzzTest, ParseJsonRequestBodies) {
+  const std::string estimate =
+      R"({"specs": [{"kind": "equality", "table": "orders", "column": )"
+      R"("customer_id", "value": -7},)"
+      R"( {"kind": "range", "table": "orders", "column": "item_id", )"
+      R"("low": 100, "high": 4e2, "include_high": false},)"
+      R"( {"kind": "in", "table": "r\u00e9gion", "column": "name", )"
+      R"("values": ["EMEA", "tab\tbed", 3]},)"
+      R"( {"kind": "join", "left": {"table": "orders", "column": "c"}, )"
+      R"("right": {"table": "customers", "column": "id"}}], "explain": null})";
+  const std::string feedback =
+      R"({"reports": [{"kind": "equality", "table": "orders", "column": )"
+      R"("item_id", "value": 3, "estimated": 2.0, "actual": 6e2},)"
+      R"( {"kind": "range", "table": "orders", "column": "item_id", )"
+      R"("low": -5, "high": 9, "estimated": 0.125, "actual": 1}]})";
+  const std::string update =
+      R"({"updates": [{"table": "orders", "column": "customer_id", )"
+      R"("value": 42, "weight": -2.5}, {"table": "orders", "column": )"
+      R"("item_id", "value": "\"quoted\"", "weight": 1E-3}]})";
+  const std::string* bodies[] = {&estimate, &feedback, &update};
+  for (size_t b = 0; b < 3; ++b) {
+    SCOPED_TRACE(b == 0 ? "/estimate" : b == 1 ? "/feedback" : "/update");
+    const std::string& valid = *bodies[b];
+    const std::string& donor = *bodies[(b + 1) % 3];
+    size_t accepted = 0, rejected = 0;
+    FuzzFrom(0x750A + b, valid, donor,
+             [&](std::string_view bytes, bool unmutated) {
+               const Result<JsonValue> parsed = ParseJson(bytes);
+               if (unmutated) {
+                 ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+               } else {
+                 ++(parsed.ok() ? accepted : rejected);
+               }
+               if (!parsed.ok()) {
+                 EXPECT_EQ(parsed.status().code(),
+                           StatusCode::kInvalidArgument);
+                 return;
+               }
+               // What was accepted renders to a document that reads back
+               // the same.
+               JsonWriter rendered;
+               Render(*parsed, &rendered);
+               const Result<JsonValue> again = ParseJson(rendered.str());
+               ASSERT_TRUE(again.ok()) << again.status().message() << "\n"
+                                       << rendered.str();
+               EXPECT_TRUE(SameJson(*parsed, *again)) << rendered.str();
+             });
+    // Mutations both keep documents well-formed and break them.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
   }
 }
 

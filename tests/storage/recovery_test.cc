@@ -76,8 +76,7 @@ struct Stack {
         specs.push_back(EstimateSpec::Equality(*id, Value(v)));
       }
     }
-    std::vector<Result<double>> results =
-        EstimateBatch(*snapshot, specs, nullptr);
+    std::vector<Result<double>> results = EstimateBatch(*snapshot, specs);
     std::vector<double> values;
     for (const Result<double>& r : results) {
       EXPECT_TRUE(r.ok());
@@ -154,7 +153,7 @@ std::vector<double> RangeEstimates(const CatalogSnapshot& snapshot) {
     }
   }
   std::vector<double> values;
-  for (const Result<double>& r : EstimateBatch(snapshot, specs, nullptr)) {
+  for (const Result<double>& r : EstimateBatch(snapshot, specs)) {
     EXPECT_TRUE(r.ok());
     values.push_back(r.ok() ? r.ValueOrDie() : -1);
   }
