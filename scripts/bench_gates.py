@@ -194,7 +194,7 @@ def storage_full(doc):
 
 # artifact -> (bench name, schema fields, tier-1 gates, full-sweep gates).
 # A schema field must appear as a key somewhere in the document; it guards
-# the axes cross-PR perf tracking reads.
+# the axes that perf tracking across revisions reads.
 ARTIFACTS = {
     "histograms": ("histogram_construction", (), None, histograms_full),
     "estimation": (
@@ -224,7 +224,7 @@ ARTIFACTS = {
 
 
 def all_keys(doc):
-    """Every object key at any depth of \\p doc."""
+    """Every object key at any depth of doc."""
     keys, stack = set(), [doc]
     while stack:
         node = stack.pop()

@@ -121,7 +121,7 @@ Result<double> EstimateOne(const CatalogSnapshot& snapshot,
 /// \p pool is ignored: a batch's kernels cost tens of nanoseconds per spec,
 /// less than handing them to pool workers costs, so no batch is fanned out.
 /// The parameter stays only because the repository benchmark's replay
-/// driver (perfbench/src/replay.cc) still passes one; it goes with that use.
+/// loop (perfbench/src/replay.cc) still passes one; it goes with that use.
 ///
 /// This is the batched probe fast lane (DESIGN.md §12): point and range
 /// specs are grouped by column and routed through the interleaved Eytzinger
