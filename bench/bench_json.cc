@@ -148,16 +148,16 @@ ComboResult RunCombo(size_t m, size_t beta, size_t reps) {
 
   r.num_requests = r.kinds.size() * kReplicas;
 
-  ParallelBuildOptions serial_opts;
-  serial_opts.serial = true;
   std::vector<double> serial_seconds, parallel_seconds;
   for (size_t rep = 0; rep < reps; ++rep) {
     std::vector<Result<Histogram>> serial_results, parallel_results;
     std::vector<VOptDiagnostics> diags(r.num_requests);
     auto run_serial = [&] {
+      // The baseline: the batch loop and every nested parallel region run
+      // inline on this thread.
+      ScopedSerial serial_region;
       Stopwatch sw;
-      serial_results =
-          BuildHistogramBatch(make_requests(nullptr), serial_opts);
+      serial_results = BuildHistogramBatch(make_requests(nullptr));
       serial_seconds.push_back(sw.ElapsedSeconds());
     };
     auto run_parallel = [&] {

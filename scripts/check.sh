@@ -23,7 +23,8 @@
 #                1. boot A with HOPS_SELFTUNE=on and a data dir; /estimate,
 #                   then skewed /feedback on orders.item_id until the
 #                   tuning counters move in /debug/columns
-#                2. 40 /update deltas on orders.customer_id, then a
+#                2. 40 /update deltas on orders.customer_id, one with
+#                   weight 1e12 that must be refused with 400, then a
 #                   settled customer_id=7 estimate
 #                3. kill -9 A
 #                4. boot B on the same dir with --trace-file: the settled
@@ -239,6 +240,13 @@ if [[ "$RUN_DAEMON_SMOKE" == 1 ]]; then
       -d "{\"updates\":[{\"table\":\"orders\",\"column\":\"customer_id\",\"value\":$((i % 64)),\"weight\":2.5}]}" \
       >/dev/null
   done
+  # A weight past the delta bound is refused at admission, before the WAL.
+  # The restart below shows it never got there: recovery refuses such a
+  # record, so B would not come up.
+  HUGE_OUT=$(curl -s -w '\n%{http_code}' -X POST "$BASE/update" \
+    -d '{"updates":[{"table":"orders","column":"customer_id","value":7,"weight":1e12}]}')
+  [[ "${HUGE_OUT##*$'\n'}" == 400 ]] ||
+    fail "/update with weight 1e12 was not refused with 400" "$HUGE_OUT"
   BEFORE=$(settled_estimate)
 
   # 3. No SIGTERM courtesy: the point is surviving an unclean death.

@@ -88,7 +88,7 @@ std::shared_ptr<const CatalogSnapshot> SnapshotStore::Current() const {
 
 void SnapshotStore::Publish(std::shared_ptr<const CatalogSnapshot> snapshot) {
   if (snapshot == nullptr) snapshot = std::make_shared<const CatalogSnapshot>();
-  // Telemetry (DESIGN.md Â§9): publications are rare (once per ANALYZE /
+  // Telemetry (DESIGN.md §9): publications are rare (once per ANALYZE /
   // refresh tick), so a span + counter here costs nothing on the read side.
   static telemetry::SpanSite& span_site =
       telemetry::GetSpanSite("Serving.SnapshotPublish");

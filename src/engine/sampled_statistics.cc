@@ -111,50 +111,4 @@ Result<ColumnStatistics> AnalyzeColumnSampled(
   return stats;
 }
 
-std::vector<Result<ColumnStatistics>> AnalyzeColumnsSampledBatch(
-    std::span<const SampledAnalyzeRequest> requests, ThreadPool* pool) {
-  std::vector<Result<ColumnStatistics>> results(
-      requests.size(),
-      Result<ColumnStatistics>(Status::Internal("not analyzed")));
-  if (requests.empty()) return results;
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Global();
-  p.ParallelFor(0, requests.size(), /*grain=*/1, [&](size_t begin,
-                                                     size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const SampledAnalyzeRequest& req = requests[i];
-      if (req.relation == nullptr) {
-        results[i] = Result<ColumnStatistics>(
-            Status::InvalidArgument("SampledAnalyzeRequest.relation is null"));
-        continue;
-      }
-      results[i] =
-          AnalyzeColumnSampled(*req.relation, req.column, req.options);
-    }
-  });
-  return results;
-}
-
-Status AnalyzeRelationSampledAndStore(const Relation& relation,
-                                      Catalog* catalog,
-                                      const SampledStatisticsOptions& options,
-                                      ThreadPool* pool) {
-  if (catalog == nullptr) {
-    return Status::InvalidArgument("catalog must not be null");
-  }
-  std::vector<SampledAnalyzeRequest> requests;
-  requests.reserve(relation.schema().num_columns());
-  for (const ColumnDef& column : relation.schema().columns()) {
-    requests.push_back(
-        SampledAnalyzeRequest{&relation, column.name, options});
-  }
-  std::vector<Result<ColumnStatistics>> results =
-      AnalyzeColumnsSampledBatch(requests, pool);
-  for (size_t i = 0; i < results.size(); ++i) {
-    HOPS_RETURN_NOT_OK(results[i].status());
-    HOPS_RETURN_NOT_OK(catalog->PutColumnStatistics(
-        relation.name(), requests[i].column, *results[i]));
-  }
-  return Status::OK();
-}
-
 }  // namespace hops

@@ -11,14 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "engine/catalog.h"
 #include "engine/relation.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace hops {
 
@@ -42,27 +39,5 @@ struct SampledStatisticsOptions {
 Result<ColumnStatistics> AnalyzeColumnSampled(
     const Relation& relation, const std::string& column,
     const SampledStatisticsOptions& options = {});
-
-/// \brief One independent sampled-ANALYZE problem for the batched pipeline.
-/// The relation must outlive the call. Each task draws from its own
-/// deterministic PRNG (seeded by options.seed), so batched results are
-/// bit-identical to sequential AnalyzeColumnSampled calls.
-struct SampledAnalyzeRequest {
-  const Relation* relation = nullptr;
-  std::string column;
-  SampledStatisticsOptions options;
-};
-
-/// \brief Batched sampled ANALYZE across the pool (nullptr = global pool);
-/// results align with requests.
-std::vector<Result<ColumnStatistics>> AnalyzeColumnsSampledBatch(
-    std::span<const SampledAnalyzeRequest> requests,
-    ThreadPool* pool = nullptr);
-
-/// \brief Whole-schema sampled statistics collection as one batched call,
-/// stored in \p catalog. Fails on the first failed column.
-Status AnalyzeRelationSampledAndStore(
-    const Relation& relation, Catalog* catalog,
-    const SampledStatisticsOptions& options = {}, ThreadPool* pool = nullptr);
 
 }  // namespace hops

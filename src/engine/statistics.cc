@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/catalog_snapshot.h"
 #include "engine/hash_agg.h"
 
 namespace hops {
@@ -94,63 +93,6 @@ HistogramBuilderKind BuilderKindForStatisticsClass(
       return HistogramBuilderKind::kVOptSerialDP;
   }
   return HistogramBuilderKind::kVOptEndBiased;
-}
-
-std::vector<Result<ColumnStatistics>> AnalyzeColumnsBatch(
-    std::span<const AnalyzeRequest> requests, ThreadPool* pool) {
-  std::vector<Result<ColumnStatistics>> results(
-      requests.size(),
-      Result<ColumnStatistics>(Status::Internal("not analyzed")));
-  if (requests.empty()) return results;
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Global();
-  // One task per column: the Matrix hash aggregation and the histogram
-  // build both run inside the task, so whole-schema ANALYZE keeps every
-  // worker busy even when columns differ wildly in cost.
-  p.ParallelFor(0, requests.size(), /*grain=*/1, [&](size_t begin,
-                                                     size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const AnalyzeRequest& req = requests[i];
-      if (req.relation == nullptr) {
-        results[i] = Result<ColumnStatistics>(
-            Status::InvalidArgument("AnalyzeRequest.relation is null"));
-        continue;
-      }
-      results[i] = AnalyzeColumn(*req.relation, req.column, req.options);
-    }
-  });
-  return results;
-}
-
-Status AnalyzeRelationAndStore(const Relation& relation, Catalog* catalog,
-                               const StatisticsOptions& options,
-                               ThreadPool* pool) {
-  if (catalog == nullptr) {
-    return Status::InvalidArgument("catalog must not be null");
-  }
-  std::vector<AnalyzeRequest> requests;
-  requests.reserve(relation.schema().num_columns());
-  for (const ColumnDef& column : relation.schema().columns()) {
-    requests.push_back(AnalyzeRequest{&relation, column.name, options});
-  }
-  std::vector<Result<ColumnStatistics>> results =
-      AnalyzeColumnsBatch(requests, pool);
-  for (size_t i = 0; i < results.size(); ++i) {
-    HOPS_RETURN_NOT_OK(results[i].status());
-    HOPS_RETURN_NOT_OK(catalog->PutColumnStatistics(
-        relation.name(), requests[i].column, *results[i]));
-  }
-  return Status::OK();
-}
-
-Status AnalyzeRelationAndPublish(const Relation& relation, Catalog* catalog,
-                                 SnapshotStore* store,
-                                 const StatisticsOptions& options,
-                                 ThreadPool* pool) {
-  if (store == nullptr) {
-    return Status::InvalidArgument("snapshot store must not be null");
-  }
-  HOPS_RETURN_NOT_OK(AnalyzeRelationAndStore(relation, catalog, options, pool));
-  return store->RepublishFrom(*catalog).status();
 }
 
 }  // namespace hops

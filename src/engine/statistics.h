@@ -4,16 +4,13 @@
 
 #pragma once
 
-#include <span>
 #include <string>
-#include <vector>
 
 #include "engine/catalog.h"
 #include "engine/relation.h"
 #include "histogram/builders.h"
 #include "histogram/parallel_build.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace hops {
 
@@ -50,39 +47,5 @@ Status AnalyzeAndStore(const Relation& relation, const std::string& column,
 /// \brief Maps the ANALYZE histogram class to the batch-builder kind.
 HistogramBuilderKind BuilderKindForStatisticsClass(
     StatisticsHistogramClass c);
-
-/// \brief One independent ANALYZE problem for the batched pipeline. The
-/// relation must outlive the call.
-struct AnalyzeRequest {
-  const Relation* relation = nullptr;
-  std::string column;
-  StatisticsOptions options;
-};
-
-/// \brief Batched ANALYZE: runs AnalyzeColumn for every request across the
-/// pool (nullptr = the global pool); results align with requests and
-/// per-request failures do not abort the batch. Per-column results are
-/// bit-identical to sequential AnalyzeColumn calls.
-std::vector<Result<ColumnStatistics>> AnalyzeColumnsBatch(
-    std::span<const AnalyzeRequest> requests, ThreadPool* pool = nullptr);
-
-/// \brief Whole-schema statistics collection as one batched call: every
-/// column of \p relation is analyzed concurrently, then stored in
-/// \p catalog (catalog writes are sequential; the Catalog is
-/// thread-compatible, not thread-safe). Fails on the first failed column.
-Status AnalyzeRelationAndStore(const Relation& relation, Catalog* catalog,
-                               const StatisticsOptions& options = {},
-                               ThreadPool* pool = nullptr);
-
-class SnapshotStore;
-
-/// \brief AnalyzeRelationAndStore + SnapshotStore::RepublishFrom: the write
-/// path of the serving layer (DESIGN.md §7). Concurrent readers keep the
-/// previous snapshot until the new one is published in one atomic swap;
-/// they never observe a half-analyzed catalog.
-Status AnalyzeRelationAndPublish(const Relation& relation, Catalog* catalog,
-                                 SnapshotStore* store,
-                                 const StatisticsOptions& options = {},
-                                 ThreadPool* pool = nullptr);
 
 }  // namespace hops

@@ -51,32 +51,4 @@ Result<SamplingJoinEstimate> EstimateJoinSizeBySampling(
   return out;
 }
 
-std::vector<Result<SamplingJoinEstimate>> EstimateJoinSizesBySampling(
-    std::span<const SamplingJoinRequest> requests, ThreadPool* pool) {
-  std::vector<Result<SamplingJoinEstimate>> results(
-      requests.size(),
-      Result<SamplingJoinEstimate>(Status::Internal("not estimated")));
-  if (requests.empty()) return results;
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Global();
-  // Sampling joins are coarse units of work (two sample draws plus a hash
-  // join per request): grain 1, one request per task. Each request owns its
-  // seeded Rng and its results slot, so any pool size matches a serial loop
-  // bit for bit.
-  p.ParallelFor(0, requests.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const SamplingJoinRequest& req = requests[i];
-      if (req.left == nullptr || req.right == nullptr) {
-        results[i] = Status::InvalidArgument(
-            "sampling join request " + std::to_string(i) +
-            " has a null relation");
-        continue;
-      }
-      results[i] =
-          EstimateJoinSizeBySampling(*req.left, req.column_left, *req.right,
-                                     req.column_right, req.options);
-    }
-  });
-  return results;
-}
-
 }  // namespace hops

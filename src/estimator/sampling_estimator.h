@@ -9,13 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "engine/relation.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace hops {
 
@@ -42,22 +39,5 @@ Result<SamplingJoinEstimate> EstimateJoinSizeBySampling(
     const Relation& left, const std::string& column_left,
     const Relation& right, const std::string& column_right,
     const SamplingJoinOptions& options = {});
-
-/// \brief One join of a batched sampling request. The relations must
-/// outlive the batch call.
-struct SamplingJoinRequest {
-  const Relation* left = nullptr;
-  std::string column_left;
-  const Relation* right = nullptr;
-  std::string column_right;
-  SamplingJoinOptions options;
-};
-
-/// \brief Runs every request, fanning independent estimates across \p pool
-/// (nullptr = the global pool). Each request draws from its own seeded Rng,
-/// so results are bit-identical to a serial loop at any pool size. Results
-/// align with requests; per-request failures do not abort the batch.
-std::vector<Result<SamplingJoinEstimate>> EstimateJoinSizesBySampling(
-    std::span<const SamplingJoinRequest> requests, ThreadPool* pool = nullptr);
 
 }  // namespace hops

@@ -29,19 +29,6 @@ const char* HistogramBuilderKindToString(HistogramBuilderKind kind) {
   return "unknown";
 }
 
-std::vector<HistogramBuilderKind> AllHistogramBuilderKinds() {
-  return {
-      HistogramBuilderKind::kTrivial,
-      HistogramBuilderKind::kEquiWidth,
-      HistogramBuilderKind::kEquiDepth,
-      HistogramBuilderKind::kVOptEndBiased,
-      HistogramBuilderKind::kVOptEndBiasedGrouped,
-      HistogramBuilderKind::kVOptSerialDP,
-      HistogramBuilderKind::kVOptSerialDPFast,
-      HistogramBuilderKind::kVOptSerialExhaustive,
-  };
-}
-
 Result<Histogram> BuildHistogram(FrequencySet set, HistogramBuilderKind kind,
                                  size_t num_buckets,
                                  VOptDiagnostics* diagnostics) {
@@ -84,16 +71,6 @@ std::vector<Result<Histogram>> BuildHistogramBatch(
             "hops_histogram_builds_total",
             "Histogram build requests run through BuildHistogramBatch.");
     builds_total->Increment(requests.size());
-  }
-  if (options.serial) {
-    // The baseline: inline, with every nested parallel region disabled too.
-    ScopedSerial serial_region;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      results[i] =
-          BuildHistogram(std::move(requests[i].set), requests[i].kind,
-                         requests[i].num_buckets, requests[i].diagnostics);
-    }
-    return results;
   }
   ThreadPool& pool =
       options.pool != nullptr ? *options.pool : ThreadPool::Global();

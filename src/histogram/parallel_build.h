@@ -39,9 +39,6 @@ enum class HistogramBuilderKind {
 /// \brief Stable lowercase name ("v-opt-serial-dp-fast", ...).
 const char* HistogramBuilderKindToString(HistogramBuilderKind kind);
 
-/// \brief All builder kinds, in declaration order (for sweeps and tests).
-std::vector<HistogramBuilderKind> AllHistogramBuilderKinds();
-
 /// \brief One independent (frequency set × bucket count × builder kind)
 /// build problem.
 struct HistogramBuildRequest {
@@ -55,11 +52,9 @@ struct HistogramBuildRequest {
 
 /// \brief Controls for BuildHistogramBatch.
 struct ParallelBuildOptions {
-  /// Pool to fan out on; nullptr means ThreadPool::Global().
+  /// Pool to fan out on; nullptr means ThreadPool::Global(). A ScopedSerial
+  /// region on the calling thread runs the whole batch inline instead.
   ThreadPool* pool = nullptr;
-  /// Force fully serial, inline execution (the baseline the bench harness
-  /// and the equivalence tests compare against).
-  bool serial = false;
 };
 
 /// \brief Dispatches to the builder selected by \p kind. \p diagnostics is

@@ -893,9 +893,11 @@ HttpResponse EstimateService::HandleUpdate(
 
   const Status admitted = options_.updates->RecordBatch(records);
   if (!admitted.ok()) {
-    // Refused by the durability hook (e.g. a full disk): nothing from this
-    // request was applied, and the client should retry elsewhere.
-    return MakeErrorResponse(503, admitted.message());
+    // Nothing from this request was admitted. A weight outside
+    // kMaxDeltaWeight is the client's error ("update <i>: ..."); a refusal
+    // by the durability hook (e.g. a full disk) means retry elsewhere.
+    return MakeErrorResponse(admitted.IsInvalidArgument() ? 400 : 503,
+                             admitted.message());
   }
 
   JsonWriter writer;

@@ -53,7 +53,9 @@
 //                       admits all-or-nothing (one RecordBatch), and when
 //                       durable storage is attached (DESIGN.md §13) the
 //                       batch is in the WAL before the 200 is sent —
-//                       acknowledged updates survive kill -9.
+//                       acknowledged updates survive kill -9. A weight
+//                       outside ±kMaxDeltaWeight (refresh/update_log.h)
+//                       is a 400 naming the entry.
 //
 // The three POST endpoints answer 400 to a body that does not parse or
 // lacks its array, and 413 to more than 4096 entries, before any work.

@@ -52,48 +52,4 @@ Result<SizeEstimate> EvaluateEstimate(
   return out;
 }
 
-std::vector<Result<SizeEstimate>> EvaluateEstimateBatch(
-    const ChainQuery& query,
-    std::span<const std::vector<Bucketization>> candidates,
-    BucketAverageMode mode, ThreadPool* pool) {
-  std::vector<Result<SizeEstimate>> results(
-      candidates.size(),
-      Result<SizeEstimate>(Status::Internal("not estimated")));
-  if (candidates.empty()) return results;
-  // The exact size S depends only on the query: compute it once, share it
-  // across every candidate (the computation is deterministic, so this is
-  // the same value a per-candidate recomputation would produce).
-  Result<double> exact = query.ExactResultSize();
-  if (!exact.ok()) {
-    for (auto& r : results) r = exact.status();
-    return results;
-  }
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::Global();
-  // Candidate evaluations are coarse (a MatrixHistogram build plus a chain
-  // product each): grain 1. Each index writes only its own slot.
-  p.ParallelFor(0, candidates.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      Result<double> estimated = EstimateResultSize(query, candidates[i], mode);
-      if (!estimated.ok()) {
-        results[i] = estimated.status();
-        continue;
-      }
-      SizeEstimate out;
-      out.exact = *exact;
-      out.estimated = *estimated;
-      out.error = out.exact - out.estimated;
-      out.absolute_error = std::fabs(out.error);
-      if (out.exact > 0) {
-        out.relative_error = out.absolute_error / out.exact;
-      } else {
-        out.relative_error = out.estimated == 0
-                                 ? 0.0
-                                 : std::numeric_limits<double>::infinity();
-      }
-      results[i] = out;
-    }
-  });
-  return results;
-}
-
 }  // namespace hops

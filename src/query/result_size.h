@@ -8,13 +8,11 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "histogram/bucketization.h"
 #include "histogram/histogram.h"
 #include "query/chain_query.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace hops {
 
@@ -43,17 +41,5 @@ struct SizeEstimate {
 Result<SizeEstimate> EvaluateEstimate(
     const ChainQuery& query, std::span<const Bucketization> bucketizations,
     BucketAverageMode mode = BucketAverageMode::kExact);
-
-/// \brief Evaluates many candidate bucketization sets against one query —
-/// the inner loop of the paper's error experiments — fanning independent
-/// evaluations across \p pool (nullptr = the global pool). The exact size S
-/// is computed once and shared; each candidate's S' and errors are
-/// bit-identical to a serial EvaluateEstimate call. Results align with
-/// candidates; per-candidate failures do not abort the batch.
-std::vector<Result<SizeEstimate>> EvaluateEstimateBatch(
-    const ChainQuery& query,
-    std::span<const std::vector<Bucketization>> candidates,
-    BucketAverageMode mode = BucketAverageMode::kExact,
-    ThreadPool* pool = nullptr);
 
 }  // namespace hops

@@ -164,7 +164,7 @@ Result<RefreshColumnId> RefreshManager::RegisterColumn(
     uint64_t lsn = 0;
     HOPS_RETURN_NOT_OK(durability_->PersistRegistration(
         id, table, column, value_ids, frequencies, &lsn));
-    last_applied_lsn_ = std::max(last_applied_lsn_, lsn);
+    high_water_lsn_ = std::max(high_water_lsn_, lsn);
   }
   columns_.push_back(std::move(state));
   {
@@ -355,7 +355,7 @@ Result<size_t> RefreshManager::ApplyPendingDeltasLocked(bool* changed) {
   // high-water mark stays contiguous (a dropped record must not be
   // replayed as if it were never consumed).
   for (const UpdateRecord& record : records) {
-    last_applied_lsn_ = std::max(last_applied_lsn_, record.lsn);
+    high_water_lsn_ = std::max(high_water_lsn_, record.lsn);
   }
   HOPS_ASSIGN_OR_RETURN(const size_t applied, ApplyRecordsLocked(records));
   HOPS_RETURN_NOT_OK(WriteBackDirtyLocked(changed));
@@ -697,7 +697,7 @@ Result<RefreshDurableState> RefreshManager::ExportDurableState() {
   if (changed) HOPS_RETURN_NOT_OK(RepublishLocked());
 
   RefreshDurableState out;
-  out.high_water_lsn = last_applied_lsn_;
+  out.high_water_lsn = high_water_lsn_;
   out.columns.reserve(columns_.size());
   for (const auto& sp : columns_) {
     const ColumnState& s = *sp;
@@ -796,7 +796,7 @@ Status RefreshManager::RestoreDurableState(const RefreshDurableState& state) {
     RecomputeMomentsLocked(*columns_[id]);
     HOPS_RETURN_NOT_OK(WriteBackLocked(*columns_[id]));
   }
-  last_applied_lsn_ = std::max(last_applied_lsn_, state.high_water_lsn);
+  high_water_lsn_ = std::max(high_water_lsn_, state.high_water_lsn);
   HOPS_RETURN_NOT_OK(RepublishLocked());
   return Status::OK();
 }
@@ -812,14 +812,14 @@ Status RefreshManager::ReplayRegistration(uint64_t lsn, RefreshColumnId id,
       return Status::InvalidArgument(
           "ReplayRegistration must run before AttachDurability");
     }
-    if (lsn != 0 && lsn <= last_applied_lsn_) {
+    if (lsn != 0 && lsn <= high_water_lsn_) {
       return Status::OK();  // the snapshot already covers this registration
     }
   }
   HOPS_ASSIGN_OR_RETURN(const RefreshColumnId got,
                         RegisterColumn(table, column, value_ids, frequencies));
   std::lock_guard<std::mutex> lock(mutex_);
-  last_applied_lsn_ = std::max(last_applied_lsn_, lsn);
+  high_water_lsn_ = std::max(high_water_lsn_, lsn);
   if (got != id) {
     return Status::Internal("replayed registration of " + table + "." +
                             column + " got id " + std::to_string(got) +
@@ -833,21 +833,23 @@ Result<size_t> RefreshManager::ApplyRecoveredDeltas(
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<UpdateRecord> fresh;
   fresh.reserve(records.size());
+  uint64_t high_water = high_water_lsn_;
   for (const UpdateRecord& record : records) {
-    if (record.lsn != 0 && record.lsn <= last_applied_lsn_) continue;
-    last_applied_lsn_ = std::max(last_applied_lsn_, record.lsn);
+    if (record.lsn != 0 && record.lsn <= high_water) continue;
+    if (Status weight = CheckDeltaWeight(record.weight); !weight.ok()) {
+      return Status::InvalidArgument("WAL record lsn " +
+                                     std::to_string(record.lsn) + ": " +
+                                     weight.message());
+    }
+    high_water = std::max(high_water, record.lsn);
     fresh.push_back(record);
   }
+  high_water_lsn_ = high_water;
   HOPS_ASSIGN_OR_RETURN(const size_t applied, ApplyRecordsLocked(fresh));
   bool changed = false;
   HOPS_RETURN_NOT_OK(WriteBackDirtyLocked(&changed));
   if (changed) HOPS_RETURN_NOT_OK(RepublishLocked());
   return applied;
-}
-
-uint64_t RefreshManager::last_applied_lsn() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return last_applied_lsn_;
 }
 
 RefreshStats RefreshManager::stats() const {

@@ -195,11 +195,10 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   /// Applies WAL-replayed deltas directly (bypassing the queue and the
   /// hook), skipping records at or below the high-water mark, folding each
   /// applied LSN, and republishing once when anything changed. Returns the
-  /// number applied.
+  /// number applied. A record CheckDeltaWeight refuses (one no accept path
+  /// admits) fails the call with InvalidArgument naming its LSN, before
+  /// anything is applied.
   Result<size_t> ApplyRecoveredDeltas(std::span<const UpdateRecord> records);
-
-  /// Largest LSN whose effects are applied (0 before any durability).
-  uint64_t last_applied_lsn() const;
 
   // --------------------------------------------------------------- feedback
 
@@ -330,7 +329,7 @@ class RefreshManager : public EstimationFeedbackSink, public RefreshSource {
   double last_refresh_seconds_ = 0;
   double last_tune_seconds_ = 0;
   DurabilityHook* durability_ = nullptr;  // guarded by mutex_
-  uint64_t last_applied_lsn_ = 0;         // guarded by mutex_
+  uint64_t high_water_lsn_ = 0;           // guarded by mutex_
 };
 
 }  // namespace hops

@@ -1,12 +1,22 @@
 #include "refresh/update_log.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "refresh/durability.h"
 #include "telemetry/trace.h"
 
 namespace hops {
+
+Status CheckDeltaWeight(double weight) {
+  if (std::fabs(weight) <= kMaxDeltaWeight) return Status::OK();  // not NaN
+  char message[96];
+  std::snprintf(message, sizeof(message), "weight %.17g is outside [-%g, %g]",
+                weight, kMaxDeltaWeight, kMaxDeltaWeight);
+  return Status::InvalidArgument(message);
+}
 
 UpdateLog::UpdateLog(size_t capacity) : capacity_(std::max<size_t>(1, capacity)) {}
 
@@ -52,12 +62,19 @@ Status UpdateLog::AdmitLocked(std::span<const UpdateRecord> records) {
 }
 
 Status UpdateLog::Record(const UpdateRecord& record) {
+  HOPS_RETURN_NOT_OK(CheckDeltaWeight(record.weight));
   std::unique_lock<std::mutex> lock(mutex_);
   HOPS_RETURN_NOT_OK(WaitForSpaceLocked(lock, 1));
   return AdmitLocked(std::span<const UpdateRecord>(&record, 1));
 }
 
 Status UpdateLog::RecordBatch(std::span<const UpdateRecord> records) {
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (Status weight = CheckDeltaWeight(records[i].weight); !weight.ok()) {
+      return Status::InvalidArgument("update " + std::to_string(i) + ": " +
+                                     weight.message());
+    }
+  }
   if (records.empty()) return Status::OK();
   // Single lock acquisition for the whole batch: reserve-then-commit in
   // capacity-sized chunks. A close racing the batch can interrupt only at
@@ -87,7 +104,8 @@ Status UpdateLog::RecordBatch(std::span<const UpdateRecord> records) {
 
 bool UpdateLog::TryRecord(const UpdateRecord& record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (closed_ || records_.size() >= capacity_ ||
+  if (!CheckDeltaWeight(record.weight).ok() || closed_ ||
+      records_.size() >= capacity_ ||
       !AdmitLocked(std::span<const UpdateRecord>(&record, 1)).ok()) {
     rejected_.Increment();
     return false;

@@ -54,7 +54,8 @@ class DurabilityHook;
 using RefreshColumnId = uint32_t;
 
 /// \brief One tuple-level statistics delta: \p weight is +1 for an insert,
-/// -1 for a delete (batched writers may fold runs into larger magnitudes).
+/// -1 for a delete (batched writers may fold runs into larger magnitudes,
+/// up to kMaxDeltaWeight).
 struct UpdateRecord {
   RefreshColumnId column = 0;
   int64_t value = 0;
@@ -65,11 +66,21 @@ struct UpdateRecord {
   uint64_t lsn = 0;
 };
 
+/// \brief Largest |weight| one record may carry. Applying a record costs
+/// one maintenance step per unit of weight under the refresh mutex, so
+/// every accept path refuses a larger or non-finite weight before the
+/// durability hook sees it; a writer splits a larger run into records.
+inline constexpr double kMaxDeltaWeight = 1024;
+
+/// \brief OK when \p weight is finite and |weight| <= kMaxDeltaWeight;
+/// InvalidArgument naming the weight otherwise.
+Status CheckDeltaWeight(double weight);
+
 /// \brief Point-in-time counters of one UpdateLog.
 struct UpdateLogStats {
   uint64_t enqueued = 0;        ///< records accepted (Record* + RecordBatch)
   uint64_t drained = 0;         ///< records handed to the consumer
-  uint64_t rejected = 0;        ///< TryRecord* calls refused (full/closed)
+  uint64_t rejected = 0;        ///< TryRecord* calls refused
   /// Blocked intervals: times a producer *actually* waited on a full log.
   /// A Record/RecordBatch that finds space under the lock never counts, and
   /// one wait spanning several drains counts once (see file comment).
@@ -90,7 +101,9 @@ class UpdateLog {
   UpdateLog& operator=(const UpdateLog&) = delete;
 
   /// Enqueues one record, blocking while the log is full (backpressure).
-  /// Fails with FailedPrecondition-style ResourceExhausted once closed.
+  /// Fails with FailedPrecondition-style ResourceExhausted once closed, and
+  /// with InvalidArgument (never blocking) when CheckDeltaWeight refuses
+  /// the weight.
   Status Record(const UpdateRecord& record);
 
   /// Convenience wrappers for the two common deltas.
@@ -107,10 +120,13 @@ class UpdateLog {
   /// fully atomic, and a larger batch commits in atomic chunks interleaved
   /// with drains. On failure (log closed) the Status message reports
   /// exactly how many records were applied — always 0 or a whole number of
-  /// chunks, never a silent prefix.
+  /// chunks, never a silent prefix. A weight CheckDeltaWeight refuses fails
+  /// the whole batch before anything is admitted, with InvalidArgument
+  /// "update <index>: ...".
   Status RecordBatch(std::span<const UpdateRecord> records);
 
-  /// Non-blocking variant: false when the log is full or closed.
+  /// Non-blocking variant: false when the log is full or closed, or the
+  /// weight is refused.
   bool TryRecord(const UpdateRecord& record);
 
   /// Moves up to \p max_records (0 = all) into \p out (appended), waking

@@ -503,10 +503,12 @@ class JsonParser {
       }
     }
     const std::string token(text_.substr(start, pos_ - start));
-    errno = 0;
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return Error("invalid number");
+    // A literal past the double range would parse as infinity, which no
+    // JSON text can spell (JsonWriter renders it as null).
+    if (std::isinf(value)) return Error("number overflows a double");
     JsonValue result(value);
     if (integer) {
       // Integer literals that survive an int64 round-trip keep exactness

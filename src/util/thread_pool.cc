@@ -281,13 +281,6 @@ void ThreadPool::ParallelInvoke(const std::function<void()>& left,
   if (control->error) std::rethrow_exception(control->error);
 }
 
-void ThreadPool::RunBatch(const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  ParallelFor(0, tasks.size(), /*grain=*/1, [&tasks](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) tasks[i]();
-  });
-}
-
 // ---------------------------------------------------------------------------
 // ScopedSerial
 

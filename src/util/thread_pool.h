@@ -1,7 +1,6 @@
 // A fixed-size thread pool with per-worker work-stealing deques, a
-// count-down Latch, fork-join helpers (ParallelFor / ParallelInvoke /
-// RunBatch), and cooperative help-waiting so nested parallel regions cannot
-// deadlock.
+// count-down Latch, fork-join helpers (ParallelFor / ParallelInvoke), and
+// cooperative help-waiting so nested parallel regions cannot deadlock.
 //
 // Design notes (see DESIGN.md §6 "Concurrency model"):
 //
@@ -22,9 +21,9 @@
 //    baseline inside the same process.
 //
 // The pool is exception-aware: an exception thrown by a ParallelFor /
-// RunBatch / ParallelInvoke body is captured and rethrown on the calling
-// thread (first one wins; the remaining work still runs to completion so
-// the latch accounting stays sound).
+// ParallelInvoke body is captured and rethrown on the calling thread (first
+// one wins; the remaining work still runs to completion so the latch
+// accounting stays sound).
 
 #pragma once
 
@@ -119,10 +118,6 @@ class ThreadPool {
   /// when both finished. Serial inline under ScopedSerial.
   void ParallelInvoke(const std::function<void()>& left,
                       const std::function<void()>& right);
-
-  /// Latch-based batch API: runs every task (concurrently) and returns when
-  /// all completed. Exceptions are rethrown here (first one wins).
-  void RunBatch(const std::vector<std::function<void()>>& tasks);
 
   /// True while a ScopedSerial region is active on this thread.
   static bool SerialRegionActive();

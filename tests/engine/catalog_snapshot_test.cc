@@ -134,7 +134,7 @@ TEST(SnapshotStoreTest, RepublishFromCompilesAndPublishes) {
   EXPECT_EQ((*published)->source_version(), catalog.version());
 }
 
-TEST(SnapshotStoreTest, AnalyzeRelationAndPublishEndToEnd) {
+TEST(SnapshotStoreTest, AnalyzeAndRepublishEndToEnd) {
   auto schema = Schema::Make({{"a", ValueType::kInt64}});
   auto rel = Relation::Make("R", *std::move(schema));
   ASSERT_TRUE(rel.ok());
@@ -145,15 +145,15 @@ TEST(SnapshotStoreTest, AnalyzeRelationAndPublishEndToEnd) {
   }
   Catalog catalog;
   SnapshotStore store;
-  ASSERT_TRUE(AnalyzeRelationAndPublish(*rel, &catalog, &store).ok());
+  ASSERT_TRUE(AnalyzeAndStore(*rel, "a", &catalog).ok());
+  ASSERT_TRUE(store.RepublishFrom(catalog).ok());
   auto snapshot = store.Current();
   auto id = snapshot->Resolve("R", "a");
   ASSERT_TRUE(id.ok());
   EXPECT_DOUBLE_EQ(snapshot->stats(*id).num_tuples, 55.0);
   EXPECT_EQ(snapshot->source_version(), catalog.version());
 
-  EXPECT_FALSE(AnalyzeRelationAndPublish(*rel, &catalog, nullptr).ok());
-  EXPECT_FALSE(AnalyzeRelationAndPublish(*rel, nullptr, &store).ok());
+  EXPECT_FALSE(AnalyzeAndStore(*rel, "a", nullptr).ok());
 }
 
 // --- Staleness coverage: maintenance write-backs and publication races ----

@@ -104,102 +104,6 @@ TEST(StatisticsTest, AnalyzeAndStoreRequiresCatalog) {
   EXPECT_TRUE(AnalyzeAndStore(rel, "a", nullptr).IsInvalidArgument());
 }
 
-void ExpectStatsEqual(const ColumnStatistics& a, const ColumnStatistics& b) {
-  EXPECT_DOUBLE_EQ(a.num_tuples, b.num_tuples);
-  EXPECT_EQ(a.num_distinct, b.num_distinct);
-  EXPECT_EQ(a.min_value, b.min_value);
-  EXPECT_EQ(a.max_value, b.max_value);
-  EXPECT_DOUBLE_EQ(a.histogram.default_frequency(),
-                   b.histogram.default_frequency());
-  EXPECT_EQ(a.histogram.num_default_values(), b.histogram.num_default_values());
-  ASSERT_EQ(a.histogram.explicit_entries().size(),
-            b.histogram.explicit_entries().size());
-  for (size_t i = 0; i < a.histogram.explicit_entries().size(); ++i) {
-    EXPECT_EQ(a.histogram.explicit_entries()[i].first,
-              b.histogram.explicit_entries()[i].first);
-    EXPECT_DOUBLE_EQ(a.histogram.explicit_entries()[i].second,
-                     b.histogram.explicit_entries()[i].second);
-  }
-}
-
-Relation TwoColumnRelation(size_t num_values) {
-  auto schema = Schema::Make(
-      {{"a", ValueType::kInt64}, {"b", ValueType::kInt64}});
-  auto rel = Relation::Make("T2", *std::move(schema));
-  EXPECT_TRUE(rel.ok());
-  for (size_t v = 0; v < num_values; ++v) {
-    for (size_t i = 0; i < num_values - v; ++i) {
-      rel->AppendUnchecked({Value(static_cast<int64_t>(v)),
-                            Value(static_cast<int64_t>(v % 7))});
-    }
-  }
-  return *std::move(rel);
-}
-
-TEST(StatisticsTest, BatchAnalyzeMatchesSequentialAnalyze) {
-  Relation rel = TwoColumnRelation(40);
-  std::vector<AnalyzeRequest> requests;
-  for (const char* column : {"a", "b"}) {
-    for (auto cls : {StatisticsHistogramClass::kEquiDepth,
-                     StatisticsHistogramClass::kVOptEndBiased,
-                     StatisticsHistogramClass::kVOptSerialDP}) {
-      AnalyzeRequest req;
-      req.relation = &rel;
-      req.column = column;
-      req.options.histogram_class = cls;
-      req.options.num_buckets = 6;
-      requests.push_back(std::move(req));
-    }
-  }
-  auto batch = AnalyzeColumnsBatch(requests);
-  ASSERT_EQ(batch.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    auto sequential =
-        AnalyzeColumn(rel, requests[i].column, requests[i].options);
-    ASSERT_TRUE(sequential.ok());
-    ASSERT_TRUE(batch[i].ok()) << "request " << i;
-    ExpectStatsEqual(*sequential, *batch[i]);
-  }
-}
-
-TEST(StatisticsTest, BatchAnalyzeReportsPerRequestFailures) {
-  Relation rel = ZipfIntRelation(8, 1, 0);
-  std::vector<AnalyzeRequest> requests(3);
-  requests[0].relation = &rel;
-  requests[0].column = "a";
-  requests[1].relation = &rel;
-  requests[1].column = "no_such_column";
-  requests[2].relation = nullptr;  // must fail without crashing
-  requests[2].column = "a";
-  auto results = AnalyzeColumnsBatch(requests);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_TRUE(results[2].status().IsInvalidArgument());
-}
-
-TEST(StatisticsTest, AnalyzeRelationAndStoreCoversEveryColumn) {
-  Relation rel = TwoColumnRelation(25);
-  Catalog batch_catalog;
-  StatisticsOptions options;
-  options.num_buckets = 5;
-  ASSERT_TRUE(AnalyzeRelationAndStore(rel, &batch_catalog, options).ok());
-  // Equivalent to per-column AnalyzeAndStore.
-  Catalog sequential_catalog;
-  for (const char* column : {"a", "b"}) {
-    ASSERT_TRUE(
-        AnalyzeAndStore(rel, column, &sequential_catalog, options).ok());
-  }
-  for (const char* column : {"a", "b"}) {
-    auto from_batch = batch_catalog.GetColumnStatistics("T2", column);
-    auto from_sequential =
-        sequential_catalog.GetColumnStatistics("T2", column);
-    ASSERT_TRUE(from_batch.ok());
-    ASSERT_TRUE(from_sequential.ok());
-    ExpectStatsEqual(*from_sequential, *from_batch);
-  }
-}
-
 TEST(StatisticsTest, ClassNamesAreStable) {
   EXPECT_STREQ(
       StatisticsHistogramClassToString(StatisticsHistogramClass::kTrivial),

@@ -95,47 +95,5 @@ TEST(SamplingEstimatorTest, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a->estimate, b->estimate);
 }
 
-TEST(SamplingEstimatorTest, BatchMatchesSerialLoop) {
-  Relation r = IntRelation("R", {1, 2, 3, 4, 5, 6, 7, 8});
-  Relation s = IntRelation("S", {2, 4, 6, 8, 10, 12, 14, 16});
-  std::vector<SamplingJoinRequest> requests;
-  for (uint64_t seed = 0; seed < 9; ++seed) {
-    SamplingJoinRequest req;
-    req.left = &r;
-    req.column_left = "a";
-    req.right = &s;
-    req.column_right = "a";
-    req.options.left_sample = 4;
-    req.options.right_sample = 4;
-    req.options.seed = seed;
-    requests.push_back(req);
-  }
-  // One failing request in the middle must not abort the batch.
-  requests[4].column_left = "zzz";
-
-  std::vector<Result<SamplingJoinEstimate>> batched =
-      EstimateJoinSizesBySampling(requests);
-  ASSERT_EQ(batched.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    auto serial = EstimateJoinSizeBySampling(
-        *requests[i].left, requests[i].column_left, *requests[i].right,
-        requests[i].column_right, requests[i].options);
-    ASSERT_EQ(serial.ok(), batched[i].ok()) << "request " << i;
-    if (serial.ok()) {
-      EXPECT_EQ(serial->estimate, batched[i]->estimate) << "request " << i;
-      EXPECT_EQ(serial->sample_matches, batched[i]->sample_matches);
-    }
-  }
-  EXPECT_FALSE(batched[4].ok());
-}
-
-TEST(SamplingEstimatorTest, BatchRejectsNullRelations) {
-  std::vector<SamplingJoinRequest> requests(1);
-  auto results = EstimateJoinSizesBySampling(requests);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].status().IsInvalidArgument());
-  EXPECT_TRUE(EstimateJoinSizesBySampling({}).empty());
-}
-
 }  // namespace
 }  // namespace hops

@@ -73,10 +73,11 @@ std::vector<HistogramBuildRequest> MakeRequests(
 void CheckParallelMatchesSerial(const std::vector<FrequencySet>& sets,
                                 const std::vector<HistogramBuilderKind>& kinds,
                                 size_t num_buckets) {
-  ParallelBuildOptions serial_opts;
-  serial_opts.serial = true;
-  auto serial = BuildHistogramBatch(MakeRequests(sets, kinds, num_buckets),
-                                    serial_opts);
+  std::vector<Result<Histogram>> serial;
+  {
+    ScopedSerial serial_region;
+    serial = BuildHistogramBatch(MakeRequests(sets, kinds, num_buckets));
+  }
   auto parallel = BuildHistogramBatch(MakeRequests(sets, kinds, num_buckets));
   ASSERT_EQ(serial.size(), parallel.size());
   size_t r = 0;

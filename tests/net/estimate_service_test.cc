@@ -2,8 +2,9 @@
 // EstimateService::Handle is driven directly, without sockets, so the tests
 // can pin exact response bytes. They fix what every restructuring of the
 // handlers must keep: the 405 method guard per endpoint, the 413 batch
-// bound in both /estimate framings and on /feedback and /update, and a
-// byte-exact JSON body and binary frame for one mixed /estimate batch.
+// bound in both /estimate framings and on /feedback and /update, the 400
+// for an out-of-range /update weight, and a byte-exact JSON body and binary
+// frame for one mixed /estimate batch.
 
 #include <gtest/gtest.h>
 
@@ -210,6 +211,44 @@ TEST_F(EstimateServiceTest, MissingBatchArrayIs400PerEndpoint) {
     EXPECT_EQ(response.status, 400) << c.target;
     EXPECT_EQ(response.body, c.body) << c.target;
   }
+}
+
+// A weight past kMaxDeltaWeight, or a number past the double range, is the
+// client's error: 400 naming the entry or the byte, and nothing admitted (so
+// nothing reaches a WAL). Accepted weights are unchanged.
+TEST_F(EstimateServiceTest, UpdateWeightOutOfRangeIs400AndAdmitsNothing) {
+  struct Case {
+    const char* weight;
+    const char* body;
+  };
+  for (const Case& c :
+       {Case{"1e12",
+             "{\"error\": \"update 1: weight 1000000000000 is outside "
+             "[-1024, 1024]\"}\n"},
+        Case{"1e400",
+             "{\"error\": \"JSON parse error at byte 134: number overflows "
+             "a double\"}\n"}}) {
+    const std::string body =
+        std::string(R"({"updates":[{"table":"orders","column":"item_id",)") +
+        R"("value":3,"weight":2.5},{"table":"orders","column":"item_id",)" +
+        R"("value":4,"weight":)" + c.weight + "}]}";
+    const HttpResponse response =
+        service_->Handle(MakeRequest("POST", "/update", body));
+    EXPECT_EQ(response.status, 400) << c.weight;
+    EXPECT_EQ(response.body, c.body) << c.weight;
+  }
+  EXPECT_EQ(RequestCount("/update", 400), 2u);
+  EXPECT_EQ(manager_->stats().log.enqueued, 0u);
+
+  for (const char* weight : {"1", "-5", "2.5", "1024", "-1024"}) {
+    const HttpResponse accepted = service_->Handle(MakeRequest(
+        "POST", "/update",
+        std::string(R"({"updates":[{"table":"orders","column":"item_id",)") +
+            R"("value":3,"weight":)" + weight + "}]}"));
+    EXPECT_EQ(accepted.status, 200) << weight;
+    EXPECT_EQ(accepted.body, "{\n  \"accepted\": 1\n}\n") << weight;
+  }
+  EXPECT_EQ(manager_->stats().log.enqueued, 5u);
 }
 
 // One JSON batch covering every slot outcome: estimates of each kind, an

@@ -112,41 +112,5 @@ TEST(ResultSizeTest, FromMatricesPassThrough) {
   EXPECT_DOUBLE_EQ(*s, 12.0);
 }
 
-TEST(ResultSizeTest, EvaluateEstimateBatchMatchesSerial) {
-  auto r0 = FrequencyMatrix::HorizontalVector({5, 3, 2, 1});
-  auto r1 = FrequencyMatrix::VerticalVector({4, 2, 2, 1});
-  auto q = ChainQuery::Make({*r0, *r1});
-  ASSERT_TRUE(q.ok());
-
-  std::vector<std::vector<Bucketization>> candidates;
-  for (size_t b = 1; b <= 4; ++b) {
-    std::vector<uint32_t> bucket_of(4);
-    for (size_t i = 0; i < 4; ++i) {
-      bucket_of[i] = static_cast<uint32_t>(i * b / 4);
-    }
-    std::vector<Bucketization> bz;
-    bz.push_back(*Bucketization::FromAssignments(bucket_of, b));
-    bz.push_back(*Bucketization::FromAssignments(bucket_of, b));
-    candidates.push_back(std::move(bz));
-  }
-  // A malformed candidate (wrong relation count) must fail alone.
-  candidates.push_back({*Bucketization::SingleBucket(4)});
-
-  std::vector<Result<SizeEstimate>> batched =
-      EvaluateEstimateBatch(*q, candidates);
-  ASSERT_EQ(batched.size(), candidates.size());
-  for (size_t i = 0; i + 1 < candidates.size(); ++i) {
-    auto serial = EvaluateEstimate(*q, candidates[i]);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(batched[i].ok()) << "candidate " << i;
-    EXPECT_EQ(serial->exact, batched[i]->exact);
-    EXPECT_EQ(serial->estimated, batched[i]->estimated);
-    EXPECT_EQ(serial->error, batched[i]->error);
-    EXPECT_EQ(serial->relative_error, batched[i]->relative_error);
-  }
-  EXPECT_FALSE(batched.back().ok());
-  EXPECT_TRUE(EvaluateEstimateBatch(*q, {}).empty());
-}
-
 }  // namespace
 }  // namespace hops

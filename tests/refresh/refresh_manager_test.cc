@@ -198,6 +198,31 @@ TEST(RefreshManagerTest, WeightedRecordsFoldMultipleUnits) {
   EXPECT_EQ(manager.stats().deltas_applied, 7u);
 }
 
+// A WAL written before admission bounded the weight may still hold such a
+// record: recovery refuses it by LSN instead of looping over its units, and
+// applies nothing from the call.
+TEST(RefreshManagerTest, RecoveredDeltaOutsideTheWeightBoundIsRefused) {
+  Fixture f;
+  RefreshManager manager(&f.catalog, &f.store);
+  auto id = RegisterSkewed(&manager, "orders", "customer_id");
+  ASSERT_TRUE(id.ok());
+  const std::vector<UpdateRecord> replayed = {
+      UpdateRecord{*id, 2, +1.0, /*lsn=*/5},
+      UpdateRecord{*id, 2, +2048.0, /*lsn=*/6}};
+  const Result<size_t> applied = manager.ApplyRecoveredDeltas(replayed);
+  ASSERT_TRUE(applied.status().IsInvalidArgument())
+      << applied.status().ToString();
+  EXPECT_EQ(applied.status().message(),
+            "WAL record lsn 6: weight 2048 is outside [-1024, 1024]");
+  EXPECT_EQ(manager.stats().deltas_applied, 0u);
+  auto stats = f.catalog.GetColumnStatistics("orders", "customer_id");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_DOUBLE_EQ(stats->histogram.LookupFrequency(2), 200.0);
+  auto durable = manager.ExportDurableState();
+  ASSERT_TRUE(durable.ok());
+  EXPECT_EQ(durable->high_water_lsn, 0u);
+}
+
 TEST(RefreshManagerTest, UnknownColumnRecordsAreCountedAndDropped) {
   Fixture f;
   RefreshManager manager(&f.catalog, &f.store);

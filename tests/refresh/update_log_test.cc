@@ -1,16 +1,20 @@
 // UpdateLog: bounded MPSC delta queue — ordering, backpressure, shutdown,
-// batch atomicity (all-or-nothing chunks), and the blocked-interval
-// accounting contract of producer_waits / UpdateLog.BackpressureWait.
+// batch atomicity (all-or-nothing chunks), the weight bound checked before
+// the durability hook, and the blocked-interval accounting contract of
+// producer_waits / UpdateLog.BackpressureWait.
 
 #include "refresh/update_log.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "refresh/durability.h"
 #include "telemetry/metrics.h"
 
 namespace hops {
@@ -72,6 +76,63 @@ TEST(UpdateLogTest, TryRecordRefusesWhenFull) {
   EXPECT_EQ(stats.depth, 2u);
   EXPECT_EQ(stats.high_water, 2u);
   EXPECT_EQ(stats.capacity, 2u);
+}
+
+// Stamps LSNs and counts PersistDeltas calls; persists nothing.
+class CountingHook final : public DurabilityHook {
+ public:
+  Status PersistDeltas(std::span<UpdateRecord> records) override {
+    ++calls;
+    for (UpdateRecord& record : records) record.lsn = ++last_lsn;
+    return Status::OK();
+  }
+  Status PersistRegistration(RefreshColumnId, const std::string&,
+                             const std::string&, std::span<const int64_t>,
+                             std::span<const double>, uint64_t*) override {
+    return Status::OK();
+  }
+  int calls = 0;
+  uint64_t last_lsn = 0;
+};
+
+TEST(UpdateLogTest, WeightsOutsideTheBoundAreRefusedBeforeTheHook) {
+  // Room for every record, so a log that admitted them would not block.
+  UpdateLog log(64);
+  CountingHook hook;
+  log.SetDurabilityHook(&hook);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double weight : {1e12, -2000.0, std::nan(""), inf, -inf}) {
+    SCOPED_TRACE(weight);
+    const UpdateRecord bad{0, 1, weight};
+    EXPECT_TRUE(log.Record(bad).IsInvalidArgument());
+    EXPECT_FALSE(log.TryRecord(bad));
+    // The whole batch is refused, the valid record before it included.
+    const std::vector<UpdateRecord> batch = {UpdateRecord{0, 2, +1.0}, bad};
+    const Status refused = log.RecordBatch(batch);
+    EXPECT_TRUE(refused.IsInvalidArgument());
+    EXPECT_EQ(refused.message().rfind("update 1: weight ", 0), 0u)
+        << refused.message();
+  }
+  EXPECT_EQ(log.Record(UpdateRecord{0, 1, 1e12}).message(),
+            "weight 1000000000000 is outside [-1024, 1024]");
+  EXPECT_EQ(hook.calls, 0);
+  EXPECT_EQ(log.depth(), 0u);
+  EXPECT_EQ(log.stats().enqueued, 0u);
+  EXPECT_EQ(log.stats().rejected, 5u);
+
+  // The bound itself and fractional weights are admitted on every path.
+  EXPECT_TRUE(log.Record(UpdateRecord{0, 1, 1024.0}).ok());
+  EXPECT_TRUE(log.TryRecord(UpdateRecord{0, 2, -1024.0}));
+  const std::vector<UpdateRecord> batch = {UpdateRecord{0, 3, 2.5},
+                                           UpdateRecord{0, 4, -5.0}};
+  EXPECT_TRUE(log.RecordBatch(batch).ok());
+  EXPECT_EQ(hook.calls, 3);
+  std::vector<UpdateRecord> out;
+  ASSERT_EQ(log.Drain(&out), 4u);
+  EXPECT_EQ(out[0].weight, 1024.0);
+  EXPECT_EQ(out[1].weight, -1024.0);
+  EXPECT_EQ(out[2].weight, 2.5);
+  EXPECT_EQ(out[3].lsn, 4u);
 }
 
 TEST(UpdateLogTest, CapacityClampedToAtLeastOne) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace hops {
@@ -144,6 +145,21 @@ TEST(JsonParseTest, RejectsMalformedInput) {
           << v.status().ToString();
     }
   }
+}
+
+TEST(JsonParseTest, RefusesNumbersThatOverflowADouble) {
+  for (const char* wire : {"1e400", "-1e400", "[1, 2e999]"}) {
+    Result<JsonValue> v = ParseJson(wire);
+    EXPECT_TRUE(v.status().IsInvalidArgument()) << "accepted: " << wire;
+  }
+  EXPECT_EQ(ParseJson("1e400").status().message(),
+            "JSON parse error at byte 5: number overflows a double");
+  // The largest finite double still parses to itself, and an underflow to
+  // zero is not an overflow.
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_EQ(ParseJson("1.7976931348623157e308")->AsDouble(), max);
+  EXPECT_EQ(ParseJson("-1.7976931348623157e308")->AsDouble(), -max);
+  EXPECT_EQ(ParseJson("1e-400")->AsDouble(), 0.0);
 }
 
 TEST(JsonParseTest, RejectsRawControlCharactersInStrings) {

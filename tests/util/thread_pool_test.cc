@@ -104,21 +104,6 @@ TEST(ThreadPoolTest, ExceptionsPropagateFromParallelFor) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, ExceptionsPropagateFromRunBatch) {
-  ThreadPool pool(2);
-  std::vector<std::function<void()>> tasks;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 20; ++i) {
-    tasks.push_back([&ran, i] {
-      ran.fetch_add(1);
-      if (i == 7) throw std::logic_error("task 7 failed");
-    });
-  }
-  EXPECT_THROW(pool.RunBatch(tasks), std::logic_error);
-  // Latch accounting stays sound: every task still ran.
-  EXPECT_EQ(ran.load(), 20);
-}
-
 TEST(ThreadPoolTest, ExceptionsPropagateFromParallelInvoke) {
   ThreadPool pool(2);
   EXPECT_THROW(pool.ParallelInvoke([] { throw std::runtime_error("left"); },
@@ -148,19 +133,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   for (size_t o = 0; o < kOuter; ++o) {
     EXPECT_EQ(sums[o], kInner * (kInner - 1) / 2);
   }
-}
-
-TEST(ThreadPoolTest, RunBatchExecutesEveryTaskOnce) {
-  ThreadPool pool(3);
-  constexpr size_t kTasks = 100;
-  std::vector<std::atomic<int>> hits(kTasks);
-  for (auto& h : hits) h.store(0);
-  std::vector<std::function<void()>> tasks;
-  for (size_t i = 0; i < kTasks; ++i) {
-    tasks.push_back([&hits, i] { hits[i].fetch_add(1); });
-  }
-  pool.RunBatch(tasks);
-  for (size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(ThreadPoolTest, SubmitWithLatchActsAsBatchBarrier) {
